@@ -21,7 +21,6 @@ from .box_solver import (
     direction,
     nonmonotone_search,
     solve_box,
-    solve_spg,
     update_reference,
 )
 from .generators import (
@@ -33,20 +32,12 @@ from .generators import (
     gen_rotated_problem,
     laplace_eigen_bounds,
 )
-from .problem import (
-    BoxBounds,
-    ObjectiveOracle,
-    QuadraticProblem,
-    gradient,
-    hessian_apply,
-    project_box,
-)
+from .problem import BoxBounds, ObjectiveOracle, QuadraticProblem
 from .qp_engine import (
     METHODS,
     DivergedError,
     RunTrace,
     StrategySpec,
-    eigencomponents,
     run,
     stepsize_history_diagnostic,
 )

@@ -1,11 +1,11 @@
 """Experiment runner: problem/strategy grids, result tables, performance profiles.
 
 A plan is a JSON document listing problem descriptors (with seed lists),
-strategies, and tolerances. ``run_plan`` executes the full grid, in
-parallel if asked, and always returns rows in a deterministic key order,
-so result CSVs are byte-identical regardless of the worker count. CPU
-time is recorded per run but never used in comparisons; the reproducible
-metrics are iteration and function-evaluation counts.
+strategies, and tolerances. ``run_plan`` executes the full grid serially
+and returns rows in a deterministic key order, so result CSVs are
+byte-identical from run to run on the same BLAS thread count. CPU time is
+recorded per run but never used in comparisons; the reproducible metrics
+are iteration and function-evaluation counts.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -229,19 +228,13 @@ def _row_key(row: dict) -> tuple:
     return tuple(str(row[k]) for k in RESULT_FIELDS)
 
 
-def run_plan(plan: ExperimentPlan, threads: int = 1) -> list[dict]:
+def run_plan(plan: ExperimentPlan) -> list[dict]:
     """Execute every (problem instance, strategy, tolerance) cell.
 
     Failures inside a run are recorded as iter_cap rows, never raised.
-    Rows come back sorted by their result key, independent of thread
-    count.
+    Rows come back sorted by their result key.
     """
-    jobs = _plan_jobs(plan)
-    if threads <= 1:
-        rows = [_execute(job, plan.iter_cap) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: _execute(j, plan.iter_cap), jobs))
+    rows = [_execute(job, plan.iter_cap) for job in _plan_jobs(plan)]
     rows.sort(key=_row_key)
     return rows
 

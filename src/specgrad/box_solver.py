@@ -19,9 +19,12 @@ reference value is managed by ``update_reference``: an improvement over
 the best value resets the scheme, while M consecutive non-improving
 steps promote the worst recent candidate to become the new reference.
 
-``solve_spg`` provides the classic spectral projected gradient baseline
-(safeguarded BB1 stepsize, max-of-recent-values Armijo test) under the
-same stopping rule, for benchmark comparisons.
+The SPG variant is the classic spectral projected gradient baseline
+(Birgin, Martinez and Raydan, SIAM J. Optim. 10, 2000) run by the same
+loop and the same search: it takes the safeguarded BB1 stepsize s's/s'y
+instead of the memory-based rules, and pins the reference value to
+f_r = f_max after every accepted step, which turns the search into the
+max-of-last-M Armijo test.
 """
 
 from __future__ import annotations
@@ -34,14 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import BoxBounds, ObjectiveOracle
-from .qp_engine import DivergedError, RunTrace
-from .stepsize import (
-    StepsizeMemory,
-    StepsizeUndefinedError,
-    bar_alpha_general,
-    bar_bb_stepsizes,
-    modified_y,
-)
+from .qp_engine import DivergedError, RunTrace, TraceRecorder
+from .stepsize import StepsizeMemory, StepsizeUndefinedError, bar_alpha_general, p_stepsize
 
 __all__ = [
     "BOX_VARIANTS",
@@ -52,7 +49,6 @@ __all__ = [
     "nonmonotone_search",
     "update_reference",
     "solve_box",
-    "solve_spg",
 ]
 
 BOX_VARIANTS = ("A1", "A1_BB1", "A1_BB2", "SPG")
@@ -178,10 +174,21 @@ def _pg_norm(x: np.ndarray, g: np.ndarray, bounds: BoxBounds) -> float:
     return float(np.max(np.abs(bounds.project(x - g) - x))) if x.size else 0.0
 
 
-def _initial_alpha(gnorm: float, cfg: BoxRunConfig) -> float:
-    if gnorm == 0.0:
-        return 1.0
-    return max(cfg.alpha_min, min(1.0 / gnorm, cfg.alpha_max))
+def _safeguard(alpha: float, cfg: BoxRunConfig) -> float:
+    return max(cfg.alpha_min, min(alpha, cfg.alpha_max))
+
+
+def _initial_alpha(norm: float, cfg: BoxRunConfig) -> float:
+    """Safeguarded 1/norm (1 when the norm vanishes)."""
+    return _safeguard(1.0 / norm if norm > 0.0 else 1.0, cfg)
+
+
+# long-phase trial stepsize of the A1 variants, read from the stepsize memory
+_A1_LONG = {
+    "A1": lambda mem: p_stepsize(mem, use_modified_y=True),
+    "A1_BB1": lambda mem: mem.barbb1_cur,
+    "A1_BB2": lambda mem: mem.barbb2_cur,
+}
 
 
 def solve_box(
@@ -193,55 +200,46 @@ def solve_box(
     """Gradient projection with the adaptive nonmonotone line search.
 
     The trial stepsize for the next iteration is updated after each
-    accepted step: when s'y > 0 the long phase takes the variant's
-    stepsize (norm ratio over the masked gradient difference for A1, the
-    masked BB pair for A1_BB1/A1_BB2) and the short phase caps it with
-    the reconstructed spectral estimate when that estimate is positive,
-    falling back to the short BB stepsize otherwise; when s'y <= 0 the
-    next stepsize is 1/||g||. Stops when the projected gradient
-    sup-norm reaches cfg.eps_pg.
+    accepted step. For A1/A1_BB1/A1_BB2, when s'y > 0 the long phase takes
+    the variant's stepsize (norm ratio over the masked gradient difference
+    for A1, the masked BB pair for A1_BB1/A1_BB2) and the short phase caps
+    it with the reconstructed spectral estimate when that estimate is
+    positive, falling back to the short BB stepsize otherwise; when
+    s'y <= 0 the next stepsize is 1/||g||. SPG takes the safeguarded BB1
+    stepsize s's/s'y, or alpha_max when s'y <= 0, and searches with
+    f_r = f_max. Stops when the projected gradient sup-norm reaches
+    cfg.eps_pg.
     """
-    if cfg.variant == "SPG":
-        return solve_spg(oracle, bounds, x1, cfg)
     t0 = time.perf_counter()
+    spg = cfg.variant == "SPG"
     x = bounds.project(np.asarray(x1, dtype=np.float64))
     g = oracle.grad(x)
     fx = oracle.f(x)
     if not math.isfinite(fx):
         raise DivergedError("nonfinite objective at the starting point")
     gnorm = float(np.linalg.norm(g))
+    pg = _pg_norm(x, g, bounds)
 
+    trace = TraceRecorder((fx, gnorm, pg), cfg.eps_pg, cfg.max_iter)
     ls = LineSearchState.fresh(fx, M=cfg.M, sigma=cfg.sigma)
     mem = StepsizeMemory()
     mem.start(g)
-    alpha = _initial_alpha(gnorm, cfg)
-
-    fs = [fx]
-    gnorms = [gnorm]
-    pgs = [_pg_norm(x, g, bounds)]
-    alphas: list[float] = []
-    branches: list[str] = []
+    alpha = _initial_alpha(pg if spg else gnorm, cfg)
     records: list[dict] = []
     prev_spectral: float | None = None
 
     k = 1
-    termination = "iter_cap"
-    while True:
-        if pgs[-1] <= cfg.eps_pg:
-            termination = "gradient_tol"
-            break
-        if k > cfg.max_iter:
-            break
-
+    done = trace.stop(pg)
+    while not done:
         d = direction(x, g, alpha, bounds)
         gd = float(g @ d)
-        if gd >= 0.0:
+        if gd >= 0.0 and not spg:
             # alpha so small the arc collapsed numerically; retry once at 1/||g||
-            alpha = _initial_alpha(float(np.linalg.norm(g)), cfg)
+            alpha = _initial_alpha(gnorm, cfg)
             d = direction(x, g, alpha, bounds)
             gd = float(g @ d)
-            if gd >= 0.0:
-                raise LineSearchError("projection arc yields no descent direction")
+        if gd >= 0.0:
+            raise LineSearchError("projection arc yields no descent direction")
 
         rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma}
         lam, f_new, unit = nonmonotone_search(oracle, x, d, g, ls)
@@ -253,165 +251,51 @@ def solve_box(
         x_new = x + lam * d
         g_new = oracle.grad(x_new)
         s = x_new - x
-        y = g_new - g
-        sty = float(s @ y)
-        moved = bool(np.any(s))
-        mem.push(g_new, s, alpha_used=alpha)
-
-        spectral = None
-        if cfg.retard_spectral or (moved and sty > 0.0 and k % (cfg.h + cfg.s) >= cfg.h):
-            try:
-                spectral = bar_alpha_general(mem)
-            except StepsizeUndefinedError:
-                spectral = None
-        rec["spectral"] = spectral
-
-        if moved and sty > 0.0:
-            ybar = modified_y(s, y)
-            bb1m, bb2m = bar_bb_stepsizes(s, ybar)
-            if cfg.variant == "A1":
-                long_next = float(np.linalg.norm(s)) / float(np.linalg.norm(ybar))
-            elif cfg.variant == "A1_BB1":
-                long_next = bb1m
+        sty = float(s @ (g_new - g))
+        if spg:
+            gnorm = float(np.linalg.norm(g_new))
+            if sty > 0.0:
+                alpha, label = _safeguard(float(s @ s) / sty, cfg), "bb"
             else:
-                long_next = bb2m
-            if k % (cfg.h + cfg.s) >= cfg.h:
-                use = prev_spectral if cfg.retard_spectral else spectral
-                if use is not None and math.isfinite(use) and use > 0.0:
-                    tilde = min(use, long_next)
-                    label = "short_min"
-                else:
-                    tilde = bb2m
-                    label = "short_bb2"
-            else:
-                tilde = long_next
-                label = "long"
-            alpha = max(cfg.alpha_min, min(tilde, cfg.alpha_max))
+                alpha, label = cfg.alpha_max, "sy_nonpos"
         else:
-            gn_new = float(np.linalg.norm(g_new))
-            alpha = 1.0 / gn_new if gn_new > 0.0 else 1.0
-            label = "sy_nonpos"
-        prev_spectral = spectral
+            mem.push(g_new, s, alpha_used=alpha)
+            gnorm = mem.gnorm_cur
+            short = k % (cfg.h + cfg.s) >= cfg.h
+            spectral = None
+            if cfg.retard_spectral or (sty > 0.0 and short):
+                try:
+                    spectral = bar_alpha_general(mem)
+                except StepsizeUndefinedError:
+                    pass
+            rec["spectral"] = spectral
+            if sty > 0.0:
+                long_next = _A1_LONG[cfg.variant](mem)
+                cap = prev_spectral if cfg.retard_spectral else spectral
+                if not short:
+                    tilde, label = long_next, "long"
+                elif cap is not None and math.isfinite(cap) and cap > 0.0:
+                    tilde, label = min(cap, long_next), "short_min"
+                else:
+                    tilde, label = mem.barbb2_cur, "short_bb2"
+                alpha = _safeguard(tilde, cfg)
+            else:
+                alpha, label = (1.0 / gnorm if gnorm > 0.0 else 1.0), "sy_nonpos"
+            prev_spectral = spectral
 
         update_reference(ls, f_new)
-        x, g, fx = x_new, g_new, f_new
-        alphas.append(rec["alpha"])
-        branches.append(label)
-        fs.append(fx)
-        gnorms.append(float(np.linalg.norm(g)))
-        pgs.append(_pg_norm(x, g, bounds))
+        if spg:
+            ls.f_r = ls.f_max
+        x, g = x_new, g_new
+        pg = _pg_norm(x, g, bounds)
+        trace.add((rec["alpha"], label, f_new, gnorm, pg))
+        done = trace.stop(pg)
         k += 1
 
-    return RunTrace(
-        f=np.array(fs),
-        gnorm=np.array(gnorms),
-        alpha=np.array(alphas),
-        branch=branches,
-        iterations=len(alphas),
-        termination=termination,
+    return trace.result(
+        x,
         func_evals=oracle.eval_count,
         grad_evals=oracle.grad_count,
         cpu_seconds=time.perf_counter() - t0,
-        pg_inf=np.array(pgs),
         ls_records=records,
-        x_final=x,
-    )
-
-
-def solve_spg(
-    oracle: ObjectiveOracle,
-    bounds: BoxBounds,
-    x1: np.ndarray,
-    cfg: BoxRunConfig,
-) -> RunTrace:
-    """Spectral projected gradient baseline.
-
-    Safeguarded BB1 stepsize on the projection arc with a nonmonotone
-    Armijo test against the maximum objective over the last M accepted
-    iterates; same stopping rule as solve_box.
-    """
-    t0 = time.perf_counter()
-    x = bounds.project(np.asarray(x1, dtype=np.float64))
-    g = oracle.grad(x)
-    fx = oracle.f(x)
-    if not math.isfinite(fx):
-        raise DivergedError("nonfinite objective at the starting point")
-
-    fs = [fx]
-    gnorms = [float(np.linalg.norm(g))]
-    pgs = [_pg_norm(x, g, bounds)]
-    alphas: list[float] = []
-    branches: list[str] = []
-    records: list[dict] = []
-    fhist = deque([fx], maxlen=cfg.M)
-
-    pg1 = pgs[0]
-    alpha = max(cfg.alpha_min, min(1.0 / pg1 if pg1 > 0.0 else 1.0, cfg.alpha_max))
-
-    k = 1
-    termination = "iter_cap"
-    while True:
-        if pgs[-1] <= cfg.eps_pg:
-            termination = "gradient_tol"
-            break
-        if k > cfg.max_iter:
-            break
-
-        d = direction(x, g, alpha, bounds)
-        gd = float(g @ d)
-        if gd >= 0.0:
-            raise LineSearchError("projection arc yields no descent direction")
-        f_max = max(fhist)
-        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": math.inf, "f_max": f_max, "sigma": cfg.sigma}
-
-        lam = 1.0
-        f_new = oracle.f(x + d)
-        unit = True
-        backtracks = 0
-        while f_new > f_max + cfg.sigma * lam * gd:
-            backtracks += 1
-            if backtracks > MAX_BACKTRACKS:
-                raise LineSearchError(f"no acceptable step after {MAX_BACKTRACKS} backtracks")
-            lam *= BACKTRACK_FACTOR
-            unit = False
-            f_new = oracle.f(x + lam * d)
-        if not math.isfinite(f_new):
-            raise DivergedError(f"nonfinite objective at iteration {k}")
-        rec.update({"lam": lam, "f_new": f_new, "unit": unit})
-        records.append(rec)
-
-        x_new = x + lam * d
-        g_new = oracle.grad(x_new)
-        s = x_new - x
-        y = g_new - g
-        sty = float(s @ y)
-        if sty > 0.0:
-            alpha = max(cfg.alpha_min, min(float(s @ s) / sty, cfg.alpha_max))
-            label = "bb"
-        else:
-            alpha = cfg.alpha_max
-            label = "sy_nonpos"
-
-        fhist.append(f_new)
-        x, g, fx = x_new, g_new, f_new
-        alphas.append(rec["alpha"])
-        branches.append(label)
-        fs.append(fx)
-        gnorms.append(float(np.linalg.norm(g)))
-        pgs.append(_pg_norm(x, g, bounds))
-        k += 1
-
-    return RunTrace(
-        f=np.array(fs),
-        gnorm=np.array(gnorms),
-        alpha=np.array(alphas),
-        branch=branches,
-        iterations=len(alphas),
-        termination=termination,
-        func_evals=oracle.eval_count,
-        grad_evals=oracle.grad_count,
-        cpu_seconds=time.perf_counter() - t0,
-        pg_inf=np.array(pgs),
-        ls_records=records,
-        x_final=x,
     )

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``gen``      write a problem descriptor JSON
 * ``solve``    run one strategy on one problem, trace CSV out
-* ``bench``    execute a plan file over a worker pool
+* ``bench``    execute a plan file
 * ``profile``  performance profiles from result CSVs
 * ``diag``     spectral stepsize history series for plotting
 
@@ -66,7 +66,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True, help="per-run results CSV")
     p.add_argument("--summary-out", help="aggregated means CSV")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("profile", help="performance profiles from result CSVs")
     p.add_argument("results", nargs="+", help="result CSV files")
@@ -139,7 +138,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     plan = bench.ExperimentPlan.load(args.plan)
-    rows = bench.run_plan(plan, threads=args.threads)
+    rows = bench.run_plan(plan)
     bench.write_results_csv(rows, args.out)
     if args.summary_out:
         summary = bench.summarize(rows)

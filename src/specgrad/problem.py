@@ -16,14 +16,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "QuadraticProblem",
-    "BoxBounds",
-    "ObjectiveOracle",
-    "hessian_apply",
-    "gradient",
-    "project_box",
-]
+__all__ = ["QuadraticProblem", "BoxBounds", "ObjectiveOracle"]
 
 
 class QuadraticProblem:
@@ -243,18 +236,3 @@ class ObjectiveOracle:
     def grad(self, x: np.ndarray) -> np.ndarray:
         self.grad_count += 1
         return np.asarray(self._grad(x), dtype=np.float64)
-
-
-def hessian_apply(p: QuadraticProblem, v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product A v."""
-    return p.apply(v)
-
-
-def gradient(p: QuadraticProblem, x: np.ndarray) -> np.ndarray:
-    """Gradient A x - b of the quadratic objective."""
-    return p.gradient(x)
-
-
-def project_box(bounds: BoxBounds, x: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of x onto the box."""
-    return bounds.project(x)

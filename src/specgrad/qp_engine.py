@@ -6,9 +6,12 @@ advanced by the recurrence g_{k+1} = g_k - alpha_k A g_k and the
 objective by the exact quadratic identity
 f(x - alpha g) = f(x) - alpha ||g||^2 + alpha^2/2 g'Ag.
 
-Iterates are indexed from k = 1 (the starting point); cyclic long/short
-schedules evaluate mod(k, h+s) on that index directly. Where a rule is
-undefined at the start (one-step-back quantities at k <= 2) the strategy
+Every strategy is one row of a rule table: the long-phase value it takes
+at k = 1, the long-phase value it takes from k = 2 on, and a short rule
+with the (long, short) phase lengths that schedule it. Iterates are
+indexed from k = 1 (the starting point); cyclic long/short schedules
+evaluate mod(k, h+s) on that index directly. Where a short rule is
+undefined (the spectral quotient one step back at k = 2) the strategy
 takes its long-phase stepsize and the trace labels the iteration
 ``fallback``.
 """
@@ -19,6 +22,8 @@ import csv
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,34 +36,102 @@ __all__ = [
     "RunTrace",
     "DivergedError",
     "run",
-    "eigencomponents",
     "stepsize_history_diagnostic",
 ]
-
-METHODS = (
-    "SD",
-    "BB1",
-    "BB2",
-    "DY",
-    "SDC",
-    "ABBMIN2",
-    "AOPT",
-    "AOPT_RETARD",
-    "NEWS0",
-    "NEWS",
-    "NEWS2",
-    "NEWS3",
-    "NEWS4",
-)
-
-HS_METHODS = frozenset({"SDC", "NEWS0", "NEWS", "NEWS2", "NEWS3", "NEWS4"})
-_HS_METHODS = HS_METHODS
-_NEWS_FAMILY = {"NEWS0", "NEWS", "NEWS2", "NEWS3", "NEWS4"}
-_MONOTONE = {"SD", "AOPT", "DY", "SDC", "NEWS0", "NEWS"}
 
 
 class DivergedError(RuntimeError):
     """The iteration produced a nonfinite objective value."""
+
+
+class _Caches:
+    """Scalars/vectors the stepsize rules read, at the current iterate and
+    (suffix ``_prev``) one iterate back; ``bar`` is the spectral quotient
+    that the NEWS family's short rule reads."""
+
+    __slots__ = (
+        "g", "w", "gg", "gw", "gnorm", "sd", "aopt", "bb2",
+        "g_prev", "w_prev", "gw_prev", "gnorm_prev", "sd_prev", "aopt_prev", "bb2_prev",
+        "bar",
+    )
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, None)
+
+
+class _ShortState:
+    """Per-run memory of the short rules: ABBMIN2's BB2 window, SDC's frozen step."""
+
+    __slots__ = ("window", "tau", "frozen")
+
+    def __init__(self, spec: "StrategySpec"):
+        self.window = deque(maxlen=spec.abb_window)
+        self.tau = spec.tau
+        self.frozen = None
+
+
+# Short rules: (caches, long value, first step of the short phase, state) -> (alpha, label)
+
+
+def _yuan(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+    """Two-point stepsize from the last two Cauchy steps (DY)."""
+    return yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm), "short"
+
+
+def _yuan_frozen(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+    """Two-point stepsize taken on entering the short phase and held through it (SDC)."""
+    if entering:
+        st.frozen = yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm)
+    return st.frozen, "short"
+
+
+def _abb_min(c: _Caches, bb1: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+    """Minimum over the recent BB2 window when BB2/BB1 < tau, else BB1 (ABBMIN2)."""
+    bb2 = c.bb2_prev
+    st.window.append(bb2)
+    if bb2 / bb1 < st.tau:
+        return min(st.window), "short"
+    return bb1, "long"
+
+
+def _spectral(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+    """Long value capped by the spectral quotient; the long value alone while
+    the quotient is undefined (NEWS family)."""
+    if c.bar is None:
+        return long_val, "fallback"
+    return min(long_val, c.bar), "short"
+
+
+class _Rule(NamedTuple):
+    first: str  # _Caches field holding the long value at k = 1
+    later: str  # _Caches field holding the long value from k = 2 on
+    short: Callable | None = None
+    # (long, short) phase lengths; None takes the spec's (h, s)
+    cycle: tuple[int, int] | None = (1, 0)
+    # the NEWS short rule reads the quotient of the gradient pair `lag` steps back
+    lag: int | None = None
+
+
+_RULES = {
+    "SD": _Rule("sd", "sd"),
+    "BB1": _Rule("sd", "sd_prev"),
+    "BB2": _Rule("sd", "bb2_prev"),
+    "DY": _Rule("sd", "sd", _yuan, cycle=(2, 2)),
+    "SDC": _Rule("sd", "sd", _yuan_frozen, cycle=None),
+    "ABBMIN2": _Rule("sd", "sd_prev", _abb_min, cycle=(0, 1)),
+    "AOPT": _Rule("aopt", "aopt"),
+    "AOPT_RETARD": _Rule("aopt", "aopt_prev"),
+    "NEWS0": _Rule("aopt", "aopt", _spectral, cycle=None, lag=0),
+    "NEWS": _Rule("aopt", "aopt", _spectral, cycle=None, lag=1),
+    "NEWS2": _Rule("aopt", "aopt_prev", _spectral, cycle=None, lag=1),
+    "NEWS3": _Rule("aopt", "sd_prev", _spectral, cycle=None, lag=1),
+    "NEWS4": _Rule("aopt", "bb2_prev", _spectral, cycle=None, lag=1),
+}
+
+METHODS = tuple(_RULES)
+HS_METHODS = frozenset(m for m, rule in _RULES.items() if rule.cycle is None)
+_MONOTONE = {"SD", "AOPT", "DY", "SDC", "NEWS0", "NEWS"}
 
 
 @dataclass(frozen=True)
@@ -80,7 +153,7 @@ class StrategySpec:
         if m not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         object.__setattr__(self, "method", m)
-        if m in _HS_METHODS:
+        if m in HS_METHODS:
             if self.h < 2:
                 raise ValueError("h must be at least 2")
             if self.s < 1:
@@ -161,46 +234,67 @@ class RunTrace:
                     writer.writerow([i + 1, repr(float(self.f[i])), repr(float(self.gnorm[i])), "", ""])
 
 
-class _Caches:
-    """Rolling scalars/vectors the stepsize rules read (one iterate back)."""
+class TraceRecorder:
+    """Per-step record, stop test and ``RunTrace`` of one solver run.
 
-    __slots__ = (
-        "g", "w", "gg", "gw", "ww", "gnorm", "sd", "aopt",
-        "g_prev", "w_prev", "gw_prev", "ww_prev", "gnorm_prev", "sd_prev", "aopt_prev",
-        "bar_cur", "bar_prev",
-    )
+    ``first`` holds (f, gnorm) at the starting point, plus the projected
+    gradient sup-norm for the box solvers. ``add`` records one step as the
+    row (alpha, branch) followed by the same fields at the iterate it
+    reached. The last field is the stop measure: the run stops once it
+    falls to ``tol`` (``gradient_tol``) or after ``max_iter`` steps
+    (``iter_cap``).
+    """
 
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, None)
+    def __init__(self, first: tuple, tol: float, max_iter: int):
+        self.first = first
+        self.rows: list[tuple] = []
+        self.add = self.rows.append
+        self.tol = tol
+        self.max_iter = max_iter
+
+    def stop(self, measure: float) -> bool:
+        """Stop test at the newest iterate."""
+        return measure <= self.tol or len(self.rows) >= self.max_iter
+
+    def result(self, x_final: np.ndarray, **extra) -> RunTrace:
+        last = self.rows[-1] if self.rows else self.first
+        cols = list(zip(*self.rows)) or [()] * (2 + len(self.first))
+        f, gnorm, *pg = (np.array((v, *col)) for v, col in zip(self.first, cols[2:]))
+        return RunTrace(
+            f=f,
+            gnorm=gnorm,
+            alpha=np.array(cols[0], dtype=np.float64),
+            branch=list(cols[1]),
+            iterations=len(self.rows),
+            termination="gradient_tol" if last[-1] <= self.tol else "iter_cap",
+            pg_inf=pg[0] if pg else None,
+            x_final=x_final,
+            **extra,
+        )
 
 
-def _refresh(c: _Caches, p: QuadraticProblem, g: np.ndarray) -> None:
-    c.g = g
-    c.w = p.apply(g)
-    c.gg = float(g @ g)
-    c.gw = float(g @ c.w)
-    c.ww = float(c.w @ c.w)
-    c.gnorm = math.sqrt(c.gg)
-    if c.gg == 0.0:
-        # stationary point: the loop terminates before any rule reads these
-        c.sd = None
-        c.aopt = None
-    else:
-        c.sd = c.gg / c.gw
-        c.aopt = c.gnorm / math.sqrt(c.ww)
-
-
-def _advance(c: _Caches) -> None:
+def _shift_in(c: _Caches, p: QuadraticProblem, g: np.ndarray) -> None:
+    """Move the current values one iterate back and cache those of gradient g."""
     c.g_prev = c.g
     c.w_prev = c.w
     c.gw_prev = c.gw
-    c.ww_prev = c.ww
     c.gnorm_prev = c.gnorm
     c.sd_prev = c.sd
     c.aopt_prev = c.aopt
-    c.bar_prev = c.bar_cur
-    c.bar_cur = None
+    c.bb2_prev = c.bb2
+    c.g = g
+    c.w = w = p.apply(g)
+    c.gg = gg = float(g @ g)
+    c.gw = gw = float(g @ w)
+    ww = float(w @ w)
+    c.gnorm = math.sqrt(gg)
+    if gg == 0.0:
+        # stationary point: the loop terminates before any rule reads these
+        c.sd = c.aopt = c.bb2 = None
+    else:
+        c.sd = gg / gw
+        c.aopt = c.gnorm / math.sqrt(ww)
+        c.bb2 = gw / ww
 
 
 def _bar_alpha_cached(c: _Caches) -> float | None:
@@ -216,74 +310,6 @@ def _bar_alpha_cached(c: _Caches) -> float | None:
     return dd / dad
 
 
-def _choose_alpha(spec: StrategySpec, k: int, c: _Caches, state: dict) -> tuple[float, str]:
-    """Stepsize at iterate k plus its trace label (long/short/fallback)."""
-    m = spec.method
-
-    if m == "SD":
-        return c.sd, "long"
-
-    if m == "AOPT":
-        return c.aopt, "long"
-
-    if m == "AOPT_RETARD":
-        if k == 1:
-            return c.aopt, "long"
-        return c.aopt_prev, "long"
-
-    if m == "BB1":
-        if k == 1:
-            return c.sd, "long"
-        return c.sd_prev, "long"
-
-    if m == "BB2":
-        if k == 1:
-            return c.sd, "long"
-        return c.gw_prev / c.ww_prev, "long"
-
-    if m == "DY":
-        if k % 4 < 2:
-            return c.sd, "long"
-        return yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm), "short"
-
-    if m == "SDC":
-        if k % (spec.h + spec.s) < spec.h:
-            return c.sd, "long"
-        if k % (spec.h + spec.s) == spec.h:
-            state["sdc_frozen"] = yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm)
-        return state["sdc_frozen"], "short"
-
-    if m == "ABBMIN2":
-        if k == 1:
-            return c.sd, "long"
-        bb1 = c.sd_prev
-        bb2 = c.gw_prev / c.ww_prev
-        window = state["bb2_window"]
-        window.append(bb2)
-        if bb2 / bb1 < spec.tau:
-            return min(window), "short"
-        return bb1, "long"
-
-    # NEWS family: cyclic long steps with spectral short steps.
-    if m == "NEWS0":
-        long_val = c.aopt
-    elif m == "NEWS":
-        long_val = c.aopt
-    elif m == "NEWS2":
-        long_val = c.aopt_prev if k > 1 else c.aopt
-    elif m == "NEWS3":
-        long_val = c.sd_prev if k > 1 else c.aopt
-    else:  # NEWS4
-        long_val = (c.gw_prev / c.ww_prev) if k > 1 else c.aopt
-
-    if k % (spec.h + spec.s) < spec.h:
-        return long_val, "long"
-    bar = c.bar_cur if m == "NEWS0" else c.bar_prev
-    if bar is None:
-        return long_val, "fallback"
-    return min(long_val, bar), "short"
-
-
 def run(
     p: QuadraticProblem,
     x1: np.ndarray,
@@ -294,7 +320,8 @@ def run(
 ) -> RunTrace:
     """Iterate until ||g_k|| <= eps * ||g_1|| or the step count hits max_iter.
 
-    Same problem, start, and spec give a bitwise-identical trace.
+    Same problem, start, and spec give a bitwise-identical trace on the
+    same BLAS thread count.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -305,79 +332,43 @@ def run(
     g = p.gradient(x)
     gnorm1 = float(np.linalg.norm(g))
     f = 0.5 * float(x @ g) - 0.5 * float(p.b @ x)
-
-    fs = [f]
-    gnorms = [gnorm1]
-    alphas: list[float] = []
-    branches: list[str] = []
+    trace = TraceRecorder((f, gnorm1), eps * gnorm1, max_iter)
     grads = [g.copy()] if retain_gradients else None
+    if trace.stop(gnorm1):
+        return trace.result(x, gradients=grads)
 
-    if gnorm1 == 0.0:
-        return RunTrace(
-            np.array(fs), np.array(gnorms), np.array([]), [], 0, "gradient_tol", grads,
-            x_final=x,
-        )
-
-    tol = eps * gnorm1
+    rule = _RULES[spec.method]
+    h, s = rule.cycle or (spec.h, spec.s)
+    period = h + s
+    later, short, state = attrgetter(rule.later), rule.short, _ShortState(spec)
+    # bars[0] is the quotient `lag` steps back, None until it exists
+    bars = None if rule.lag is None else deque([None] * rule.lag, maxlen=rule.lag + 1)
     c = _Caches()
-    _refresh(c, p, g)
-    state: dict = {"bb2_window": deque(maxlen=spec.abb_window), "sdc_frozen": None}
-    needs_bar = spec.method in _NEWS_FAMILY
-
+    _shift_in(c, p, g)
+    alpha, label = getattr(c, rule.first), "long"
+    add, tol = trace.add, trace.tol
     k = 1
-    termination = "iter_cap"
     while True:
-        if c.gnorm <= tol:
-            termination = "gradient_tol"
-            break
-        if k > max_iter:
-            break
-
-        if needs_bar and k > 1:
-            c.bar_cur = _bar_alpha_cached(c)
-
-        alpha, label = _choose_alpha(spec, k, c, state)
-
         x -= alpha * c.g
         f = f - alpha * c.gg + 0.5 * alpha * alpha * c.gw
         if not math.isfinite(f):
             raise DivergedError(f"nonfinite objective at iteration {k}")
         g_new = c.g - alpha * c.w
-
-        _advance(c)
-        _refresh(c, p, g_new)
-
-        alphas.append(alpha)
-        branches.append(label)
-        fs.append(f)
-        gnorms.append(c.gnorm)
+        _shift_in(c, p, g_new)
         if retain_gradients:
             grads.append(g_new.copy())
+        add((alpha, label, f, c.gnorm))
+        if c.gnorm <= tol or k >= max_iter:  # trace.stop, inlined
+            return trace.result(x, gradients=grads)
+
         k += 1
-
-    return RunTrace(
-        f=np.array(fs),
-        gnorm=np.array(gnorms),
-        alpha=np.array(alphas),
-        branch=branches,
-        iterations=len(alphas),
-        termination=termination,
-        gradients=grads,
-        x_final=x,
-    )
-
-
-def eigencomponents(trace: RunTrace, p: QuadraticProblem) -> np.ndarray:
-    """Gradient components along the eigenvectors, one row per iterate.
-
-    Only meaningful for diagonal problems, where the coordinate basis is
-    the eigenbasis; requires a gradient-retaining trace.
-    """
-    if p.kind != "diag":
-        raise ValueError("eigencomponents require a diagonal problem")
-    if trace.gradients is None:
-        raise ValueError("trace did not retain gradients")
-    return np.asarray(trace.gradients)
+        if bars is not None:
+            bars.append(_bar_alpha_cached(c))
+            c.bar = bars[0]
+        alpha, label = later(c), "long"
+        phase = k % period
+        if phase >= h:
+            alpha, label = short(c, alpha, phase == h, state)
 
 
 def stepsize_history_diagnostic(

@@ -59,8 +59,6 @@ class StepsizeMemory:
     ybar_prev: np.ndarray | None = None
     alpha_prev: float | None = None
     alpha_prev2: float | None = None
-    sd_prev: float | None = None
-    baralpha_prev: float | None = None
     gnorm_cur: float | None = None
     gnorm_prev: float | None = None
     gnorm_prev2: float | None = None
@@ -88,20 +86,10 @@ class StepsizeMemory:
         self.g_cur = np.asarray(g1, dtype=np.float64)
         self.gnorm_cur = float(np.linalg.norm(self.g_cur))
 
-    def push(
-        self,
-        g_new: np.ndarray,
-        s_new: np.ndarray,
-        alpha_used: float,
-        sd_cur: float | None = None,
-        baralpha: float | None = None,
-    ) -> None:
+    def push(self, g_new: np.ndarray, s_new: np.ndarray, alpha_used: float) -> None:
         """Advance by one iterate: shift the window and ingest g_k, s_{k-1}.
 
-        ``alpha_used`` is the stepsize that produced s_new; ``sd_cur`` and
-        ``baralpha`` optionally record the exact-line-search stepsize and
-        the spectral estimate computed at the previous iterate (quadratic
-        track only).
+        ``alpha_used`` is the stepsize that produced s_new.
         """
         if self.g_cur is None:
             raise StepsizeUndefinedError("push before start: no initial gradient")
@@ -113,8 +101,6 @@ class StepsizeMemory:
         self.gnorm_prev = self.gnorm_cur
         self.alpha_prev2 = self.alpha_prev
         self.alpha_prev = float(alpha_used)
-        self.sd_prev = sd_cur
-        self.baralpha_prev = baralpha
         self.barbb1_prev = self.barbb1_cur
         self.barbb2_prev = self.barbb2_cur
 

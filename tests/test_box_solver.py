@@ -8,9 +8,9 @@ from specgrad.box_solver import (
     direction,
     nonmonotone_search,
     solve_box,
-    solve_spg,
     update_reference,
 )
+from specgrad import box_solver, stepsize
 from specgrad.generators import SpectrumSpec, gen_diag_problem
 from specgrad.problem import BoxBounds, ObjectiveOracle, QuadraticProblem
 from specgrad.stepsize import bar_alpha_direct
@@ -285,13 +285,13 @@ class TestSolveBox:
 class TestSolveSpg:
     def test_identity_quadratic_fast(self):
         p = QuadraticProblem(np.ones(4), np.array([1.0, -1.0, 2.0, 0.0]))
-        tr = solve_spg(p.as_oracle(), BoxBounds.free(4), np.zeros(4), BoxRunConfig(variant="SPG", M=10))
+        tr = solve_box(p.as_oracle(), BoxBounds.free(4), np.zeros(4), BoxRunConfig(variant="SPG", M=10))
         assert tr.termination == "gradient_tol"
         assert tr.iterations <= 2
 
     def test_2d_box_qp(self):
         p = QuadraticProblem(np.ones(2), np.array([2.0, 2.0]))
-        tr = solve_spg(p.as_oracle(), BoxBounds([0.0, 0.0], [1.0, 1.0]), np.zeros(2),
+        tr = solve_box(p.as_oracle(), BoxBounds([0.0, 0.0], [1.0, 1.0]), np.zeros(2),
                        BoxRunConfig(variant="SPG", M=10))
         np.testing.assert_allclose(tr.x_final, [1.0, 1.0], atol=1e-8)
 
@@ -302,7 +302,51 @@ class TestSolveSpg:
 
     def test_accepted_steps_satisfy_armijo(self):
         p = gen_diag_problem(SpectrumSpec("SET2", 30, 1e3, 5))
-        tr = solve_spg(p.as_oracle(), BoxBounds.free(30), np.ones(30),
+        tr = solve_box(p.as_oracle(), BoxBounds.free(30), np.ones(30),
                        BoxRunConfig(variant="SPG", M=10))
         for rec in tr.ls_records:
             assert rec["f_new"] <= rec["f_max"] + rec["sigma"] * rec["lam"] * rec["gd"]
+            assert rec["f_r"] == rec["f_max"]
+
+    def test_backtracks_through_a_nan_trial(self):
+        # the shared search treats a NaN trial value as a rejected step
+        p = QuadraticProblem(np.arange(1.0, 6.0), np.ones(5))
+        calls = []
+
+        def f(x):
+            calls.append(None)
+            return float("nan") if len(calls) == 2 else p.objective(x)
+
+        tr = solve_box(ObjectiveOracle(f, p.gradient), BoxBounds.free(5), np.zeros(5),
+                       BoxRunConfig(variant="SPG"))
+        first = tr.ls_records[0]
+        assert not first["unit"] and first["lam"] < 1.0
+        assert tr.termination == "gradient_tol"
+        np.testing.assert_allclose(tr.x_final, p.solution(), atol=1e-5)
+
+
+class TestSharedBoxLoop:
+    @pytest.mark.parametrize("variant", ["A1", "A1_BB1", "A1_BB2"])
+    def test_modified_y_once_per_iteration(self, variant, monkeypatch):
+        calls = []
+        original = stepsize.modified_y
+
+        def counting(s, y):
+            calls.append(None)
+            return original(s, y)
+
+        monkeypatch.setattr(stepsize, "modified_y", counting)
+        # count a second masked difference formed by the solver itself, too
+        monkeypatch.setattr(box_solver, "modified_y", counting, raising=False)
+        p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 7))
+        tr = solve_box(p.as_oracle(), BoxBounds.free(40), np.ones(40), BoxRunConfig(variant=variant, h=4, s=4))
+        assert tr.iterations > 10
+        assert len(calls) == tr.iterations
+
+    def test_spg_keeps_no_stepsize_memory(self, monkeypatch):
+        pushes = []
+        monkeypatch.setattr(stepsize.StepsizeMemory, "push", lambda *a, **k: pushes.append(None))
+        p = gen_diag_problem(SpectrumSpec("SET1", 30, 1e2, 4))
+        tr = solve_box(p.as_oracle(), BoxBounds.free(30), np.ones(30), BoxRunConfig(variant="SPG"))
+        assert tr.termination == "gradient_tol"
+        assert pushes == [] and set(tr.branch) <= {"bb", "sy_nonpos"}

@@ -55,7 +55,7 @@ def test_bench_and_profile(tmp_path):
     results = tmp_path / "results.csv"
     summary = tmp_path / "summary.csv"
     rc = main(["bench", "--plan", str(plan), "--out", str(results),
-               "--summary-out", str(summary), "--threads", "2"])
+               "--summary-out", str(summary)])
     assert rc == 0
     with open(results) as fh:
         rows = list(csv.DictReader(fh))
@@ -71,6 +71,19 @@ def test_bench_and_profile(tmp_path):
         rhos = [float(r["rho"]) for r in prows if r["solver"] == solver]
         assert rhos == sorted(rhos)
         assert rhos[-1] == 1.0
+
+
+def test_bench_threads_option_removed(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "problems": [{"family": "TP1", "n": 30, "kappa": 50.0, "seeds": [1]}],
+        "strategies": [{"method": "SD"}],
+        "tolerances": [1e-6],
+    }))
+    rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv"), "--threads", "2"])
+    assert rc == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_profile_no_rows(tmp_path, capsys):

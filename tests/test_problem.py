@@ -4,33 +4,26 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from specgrad.problem import (
-    BoxBounds,
-    ObjectiveOracle,
-    QuadraticProblem,
-    gradient,
-    hessian_apply,
-    project_box,
-)
+from specgrad.problem import BoxBounds, ObjectiveOracle, QuadraticProblem
 
 
 class TestHessianApply:
     def test_identity(self):
         p = QuadraticProblem(np.ones(3))
-        np.testing.assert_array_equal(hessian_apply(p, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(p.apply(np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
     def test_diagonal_scaling(self):
         p = QuadraticProblem(np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(hessian_apply(p, np.array([1.0, 1.0])), [1.0, 2.0])
+        np.testing.assert_array_equal(p.apply(np.array([1.0, 1.0])), [1.0, 2.0])
 
     def test_dense_column(self):
         p = QuadraticProblem(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_array_equal(hessian_apply(p, np.array([1.0, 0.0])), [2.0, 1.0])
+        np.testing.assert_array_equal(p.apply(np.array([1.0, 0.0])), [2.0, 1.0])
 
     def test_dimension_mismatch(self):
         p = QuadraticProblem(np.ones(3))
         with pytest.raises(ValueError):
-            hessian_apply(p, np.ones(4))
+            p.apply(np.ones(4))
 
     @pytest.mark.parametrize("kind", ["diag", "dense", "sparse"])
     def test_linearity_and_symmetry(self, kind):
@@ -60,16 +53,16 @@ class TestHessianApply:
 class TestGradient:
     def test_identity_zero_b(self):
         p = QuadraticProblem(np.ones(2))
-        np.testing.assert_array_equal(gradient(p, np.array([1.0, 2.0])), [1.0, 2.0])
+        np.testing.assert_array_equal(p.gradient(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_direct(self):
         p = QuadraticProblem(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(gradient(p, np.array([1.0, 1.0])), [0.0, 1.0])
+        np.testing.assert_array_equal(p.gradient(np.array([1.0, 1.0])), [0.0, 1.0])
 
     def test_stationary_point(self):
         rng = np.random.default_rng(5)
         p = QuadraticProblem(rng.uniform(1.0, 9.0, 8), rng.standard_normal(8))
-        g = gradient(p, p.solution())
+        g = p.gradient(p.solution())
         assert np.linalg.norm(g) <= 1e-12 * np.linalg.norm(p.b)
 
     def test_descent_identity(self):
@@ -89,29 +82,29 @@ class TestGradient:
 class TestProjectBox:
     def test_interior_fixed(self):
         b = BoxBounds([0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_array_equal(project_box(b, np.array([0.5, 0.5])), [0.5, 0.5])
+        np.testing.assert_array_equal(b.project(np.array([0.5, 0.5])), [0.5, 0.5])
 
     def test_clamp_both_sides(self):
         b = BoxBounds([0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_array_equal(project_box(b, np.array([-1.0, 2.0])), [0.0, 1.0])
+        np.testing.assert_array_equal(b.project(np.array([-1.0, 2.0])), [0.0, 1.0])
 
     def test_free_coordinate(self):
         b = BoxBounds([-np.inf], [np.inf])
-        np.testing.assert_array_equal(project_box(b, np.array([7.0])), [7.0])
+        np.testing.assert_array_equal(b.project(np.array([7.0])), [7.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(1)
         b = BoxBounds(rng.uniform(-2, 0, 30), rng.uniform(0, 2, 30))
         x = 5 * rng.standard_normal(30)
-        once = project_box(b, x)
-        np.testing.assert_array_equal(project_box(b, once), once)
+        once = b.project(x)
+        np.testing.assert_array_equal(b.project(once), once)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(2)
         b = BoxBounds(rng.uniform(-2, 0, 30), rng.uniform(0, 2, 30))
         for _ in range(20):
             x, y = 5 * rng.standard_normal((2, 30))
-            dp = np.linalg.norm(project_box(b, x) - project_box(b, y))
+            dp = np.linalg.norm(b.project(x) - b.project(y))
             d = np.linalg.norm(x - y)
             assert dp <= d * (1 + 1e-12)
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,17 @@ from specgrad.qp_engine import (
     METHODS,
     RunTrace,
     StrategySpec,
-    eigencomponents,
     run,
     stepsize_history_diagnostic,
 )
-from specgrad.stepsize import aopt_stepsize, bar_alpha_direct
+from specgrad.stepsize import (
+    StepsizeMemory,
+    aopt_stepsize,
+    bar_alpha_direct,
+    bb_stepsizes,
+    sd_stepsize,
+    yuan_stepsize,
+)
 
 
 def small_problem(seed=0, n=60, kappa=100.0, family="TP1"):
@@ -192,30 +200,20 @@ class TestPhaseBookkeeping:
 
 
 class TestEigencomponents:
-    def test_requires_diagonal(self):
-        p = QuadraticProblem(np.array([[2.0, 0.0], [0.0, 3.0]]))
-        tr = run(p, np.ones(2), StrategySpec("SD"), eps=1e-10, retain_gradients=True)
-        with pytest.raises(ValueError):
-            eigencomponents(tr, p)
-
-    def test_requires_retention(self):
-        p = QuadraticProblem(np.array([2.0, 3.0]))
-        tr = run(p, np.ones(2), StrategySpec("SD"), eps=1e-10)
-        with pytest.raises(ValueError):
-            eigencomponents(tr, p)
+    # on a diagonal problem the retained gradients are the eigencomponents
 
     def test_eigenvector_gradient_is_unit_column(self):
         p = QuadraticProblem(np.array([1.0, 2.0, 5.0]))
         x1 = p.solution() + np.array([0.0, 1.0, 0.0])  # gradient along second eigenvector
         tr = run(p, x1, StrategySpec("SD"), eps=1e-13, max_iter=3, retain_gradients=True)
-        mu = eigencomponents(tr, p)
+        mu = np.asarray(tr.gradients)
         assert mu[0][0] == 0.0 and mu[0][2] == 0.0 and mu[0][1] != 0.0
 
     def test_vanished_component_stays_vanished(self):
         p = QuadraticProblem(np.array([1.0, 3.0, 9.0]))
         x1 = p.solution() + np.array([1.0, 0.0, 0.5])
         tr = run(p, x1, StrategySpec("AOPT"), eps=1e-12, max_iter=200, retain_gradients=True)
-        mu = eigencomponents(tr, p)
+        mu = np.asarray(tr.gradients)
         norms = np.linalg.norm(mu, axis=1)
         assert np.all(np.abs(mu[:, 1]) <= 1e-10 * np.maximum(norms, 1e-300))
 
@@ -249,3 +247,74 @@ class TestDiagnostics:
         for k, bar, hat in series[:10]:
             g_prev, g_cur = tr.gradients[k - 2], tr.gradients[k - 1]
             assert bar == pytest.approx(bar_alpha_direct(g_prev, g_cur, p), rel=1e-12)
+
+
+def _bb_pair(tr, i):
+    """BB pair for step i from the retained gradients and the step before it."""
+    mem = StepsizeMemory()
+    mem.start(tr.gradients[i - 1])
+    mem.push(tr.gradients[i], -tr.alpha[i - 1] * tr.gradients[i - 1], alpha_used=tr.alpha[i - 1])
+    return bb_stepsizes(mem)
+
+
+def _reference_alphas(method, tr, p, spec):
+    """Every alpha_k, branch label and relative tolerance, recomputed from the
+    retained gradients with the reference formulas of ``specgrad.stepsize``.
+
+    The engine forms the spectral quotient from cached products through
+    2 - 2cos(g_prev, g_cur), which loses up to a few digits to cancellation
+    against the direct formula; its short steps are compared at 1e-10.
+    """
+    G = tr.gradients
+    sd = [sd_stepsize(g, p) for g in G[:-1]]
+    aopt = [aopt_stepsize(g, p) for g in G[:-1]]
+    gn = [float(np.linalg.norm(g)) for g in G[:-1]]
+    cycle = spec.h + spec.s
+    window = deque(maxlen=spec.abb_window)
+    frozen = None
+    out = []
+    for i in range(tr.iterations):
+        k = i + 1
+        if k == 1:
+            out.append((sd[0] if method in ("SD", "BB1", "BB2", "DY", "SDC", "ABBMIN2") else aopt[0], "long", 1e-12))
+            continue
+        bb1, bb2 = _bb_pair(tr, i)
+        long_val = {
+            "SD": sd[i], "AOPT": aopt[i], "AOPT_RETARD": aopt[i - 1], "BB1": bb1, "BB2": bb2,
+            "DY": sd[i], "SDC": sd[i], "ABBMIN2": bb1, "NEWS0": aopt[i], "NEWS": aopt[i],
+            "NEWS2": aopt[i - 1], "NEWS3": bb1, "NEWS4": bb2,
+        }[method]
+        if method == "DY" and k % 4 >= 2:
+            out.append((yuan_stepsize(sd[i - 1], sd[i], gn[i - 1], gn[i]), "short", 1e-12))
+        elif method == "SDC" and k % cycle >= spec.h:
+            if k % cycle == spec.h:
+                frozen = yuan_stepsize(sd[i - 1], sd[i], gn[i - 1], gn[i])
+            out.append((frozen, "short", 1e-12))
+        elif method == "ABBMIN2":
+            window.append(bb2)
+            out.append((min(window), "short", 1e-12) if bb2 / bb1 < spec.tau else (bb1, "long", 1e-12))
+        elif method.startswith("NEWS") and k % cycle >= spec.h:
+            # NEWS0 reads the current gradient pair, the rest the pair one step back
+            pair = (G[i - 1], G[i]) if method == "NEWS0" else (G[i - 2], G[i - 1]) if k >= 3 else None
+            if pair is None:
+                out.append((long_val, "fallback", 1e-12))
+            else:
+                out.append((min(long_val, bar_alpha_direct(*pair, p)), "short", 1e-10))
+        else:
+            out.append((long_val, "long", 1e-12))
+    return out
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_alphas_follow_the_stepsize_laws(self, method):
+        p = small_problem(14, n=40, kappa=50.0, family="SET1")
+        spec = StrategySpec(method, h=3, s=4, abb_window=3)
+        tr = run(p, np.ones(40), spec, eps=1e-10, retain_gradients=True)
+        assert tr.termination == "gradient_tol" and tr.iterations >= 12
+        expected = _reference_alphas(method, tr, p, spec)
+        assert tr.branch == [label for _, label, _ in expected]
+        for i, (alpha, _, rel) in enumerate(expected):
+            assert tr.alpha[i] == pytest.approx(alpha, rel=rel, abs=0.0), (method, i + 1)
+        if method in ("DY", "SDC", "ABBMIN2") or method.startswith("NEWS"):
+            assert "short" in tr.branch
