@@ -3,9 +3,11 @@
 A plan is a JSON document listing problem descriptors (with seed lists),
 strategies, and tolerances. ``run_plan`` executes the full grid serially
 and returns rows in a deterministic key order, so result CSVs are
-byte-identical from run to run on the same BLAS thread count. CPU time is
-recorded per run but never used in comparisons; the reproducible metrics
-are iteration and function-evaluation counts.
+byte-identical from run to run on the same BLAS thread count. Each
+quadratic (descriptor, seed) instance is built once, and each strategy
+runs one trajectory on it, at the smallest tolerance: every tolerance's
+row is read off that trajectory. The reproducible metrics are iteration
+and function-evaluation counts.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,29 +143,40 @@ def _instantiate_quadratic(desc: dict, seed: int) -> tuple[QuadraticProblem, np.
     return problem, x1, {"family": spec.family, "kappa": spec.kappa}
 
 
-def _run_one_quadratic(desc: dict, seed: int, strat: dict, eps: float, iter_cap: int) -> dict:
+def _run_quadratic_instance(desc: dict, seed: int, plan: ExperimentPlan) -> list[dict]:
+    """Rows of every (strategy, tolerance) cell on one built instance."""
     problem, x1, meta = _instantiate_quadratic(desc, seed)
-    spec = StrategySpec(**strat)
-    t0 = time.perf_counter()
-    try:
-        trace = qp_engine.run(problem, x1, spec, eps=eps, max_iter=iter_cap)
-        iters, termination = trace.iterations, trace.termination
-    except qp_engine.DivergedError:
-        iters, termination = iter_cap, "iter_cap"
-    elapsed = time.perf_counter() - t0
-    return {
-        "family": meta["family"],
-        "kappa": meta["kappa"],
-        "eps": eps,
-        "method": spec.method,
-        "h": spec.h if spec.method in HS_METHODS else "",
-        "s": spec.s if spec.method in HS_METHODS else "",
-        "seed": seed,
-        "iters": iters,
-        "func_evals": 0,
-        "termination": termination,
-        "cpu_seconds": elapsed,
-    }
+    rows = []
+    for strat in plan.strategies:
+        spec = StrategySpec(**strat)
+        try:
+            trace = qp_engine.run(problem, x1, spec, eps=min(plan.tolerances), max_iter=plan.iter_cap)
+        except qp_engine.DivergedError as exc:
+            trace = exc.trace
+        gnorm = trace.gnorm
+        for eps in plan.tolerances:
+            # the engine's stop test: the first i with ||g_i|| <= eps ||g_1||
+            crossed = np.flatnonzero(gnorm <= eps * gnorm[0])
+            if crossed.size:
+                iters, termination = int(crossed[0]), "gradient_tol"
+            else:
+                # capped or failed: the row keeps the cap, so summaries count it as before
+                iters, termination = plan.iter_cap, trace.termination
+            rows.append(
+                {
+                    "family": meta["family"],
+                    "kappa": meta["kappa"],
+                    "eps": eps,
+                    "method": spec.method,
+                    "h": spec.h if spec.method in HS_METHODS else "",
+                    "s": spec.s if spec.method in HS_METHODS else "",
+                    "seed": seed,
+                    "iters": iters,
+                    "func_evals": 0,
+                    "termination": termination,
+                }
+            )
+    return rows
 
 
 def _run_one_box(entry, strat: dict, eps: float, iter_cap: int) -> dict:
@@ -173,13 +185,13 @@ def _run_one_box(entry, strat: dict, eps: float, iter_cap: int) -> dict:
     params.setdefault("max_iter", iter_cap)
     cfg = box_solver.BoxRunConfig(**params)
     oracle = entry.oracle_factory()
-    t0 = time.perf_counter()
     try:
         trace = box_solver.solve_box(oracle, entry.bounds, entry.x1, cfg)
         iters, termination, fe = trace.iterations, trace.termination, trace.func_evals
-    except (box_solver.LineSearchError, qp_engine.DivergedError):
-        iters, termination, fe = iter_cap, "iter_cap", oracle.eval_count
-    elapsed = time.perf_counter() - t0
+    except box_solver.LineSearchError:
+        iters, termination, fe = iter_cap, "line_search_failed", oracle.eval_count
+    except qp_engine.DivergedError:
+        iters, termination, fe = iter_cap, "diverged", oracle.eval_count
     return {
         "family": entry.name,
         "kappa": "",
@@ -191,11 +203,12 @@ def _run_one_box(entry, strat: dict, eps: float, iter_cap: int) -> dict:
         "iters": iters,
         "func_evals": fe,
         "termination": termination,
-        "cpu_seconds": elapsed,
     }
 
 
 def _plan_jobs(plan: ExperimentPlan) -> list:
+    """One job per box (entry, strategy, tolerance) cell and one per
+    quadratic (descriptor, seed) instance."""
     jobs = []
     for desc in plan.problems:
         if desc.get("kind") == "box_suite":
@@ -206,22 +219,22 @@ def _plan_jobs(plan: ExperimentPlan) -> list:
                     for eps in plan.tolerances:
                         jobs.append(("box", entry, strat, eps))
         else:
-            seeds = desc.get("seeds", [desc.get("seed", 0)])
-            for seed in seeds:
-                for strat in plan.strategies:
-                    if "method" not in strat:
-                        raise ValueError("quadratic problems need quadratic strategies")
-                    for eps in plan.tolerances:
-                        jobs.append(("qp", desc, seed, strat, eps))
+            if any("method" not in strat for strat in plan.strategies):
+                raise ValueError("quadratic problems need quadratic strategies")
+            if not all(0.0 < eps < 1.0 for eps in plan.tolerances):
+                raise ValueError("quadratic tolerances must lie in (0, 1)")
+            for seed in desc.get("seeds", [desc.get("seed", 0)]):
+                jobs.append(("qp", desc, seed))
     return jobs
 
 
-def _execute(job, iter_cap: int) -> dict:
+def _execute(job, plan: ExperimentPlan) -> list[dict]:
+    """Rows of one job; a quadratic instance is dropped when it returns."""
     if job[0] == "box":
         _, entry, strat, eps = job
-        return _run_one_box(entry, strat, eps, iter_cap)
-    _, desc, seed, strat, eps = job
-    return _run_one_quadratic(desc, seed, strat, eps, iter_cap)
+        return [_run_one_box(entry, strat, eps, plan.iter_cap)]
+    _, desc, seed = job
+    return _run_quadratic_instance(desc, seed, plan)
 
 
 def _row_key(row: dict) -> tuple:
@@ -229,12 +242,17 @@ def _row_key(row: dict) -> tuple:
 
 
 def run_plan(plan: ExperimentPlan) -> list[dict]:
-    """Execute every (problem instance, strategy, tolerance) cell.
+    """One row per (problem instance, strategy, tolerance) cell.
 
-    Failures inside a run are recorded as iter_cap rows, never raised.
-    Rows come back sorted by their result key.
+    Each quadratic instance is built once and each strategy runs one
+    trajectory on it, at the smallest tolerance; every tolerance's row is
+    read off that trajectory, so it equals a run stopped at that tolerance.
+    Box cells run once per tolerance. Failures inside a run are recorded,
+    never raised: ``diverged`` or ``line_search_failed`` rows carry
+    ``iters = iter_cap``, except a tolerance crossed before a divergence,
+    which reads ``gradient_tol``. Rows come back sorted by their result key.
     """
-    rows = [_execute(job, plan.iter_cap) for job in _plan_jobs(plan)]
+    rows = [row for job in _plan_jobs(plan) for row in _execute(job, plan)]
     rows.sort(key=_row_key)
     return rows
 

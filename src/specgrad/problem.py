@@ -31,6 +31,8 @@ class QuadraticProblem:
     b : array_like, optional
         Linear term; defaults to the zero vector.
 
+    Nonfinite Hessian or ``b`` entries raise ``ValueError``.
+
     The stored problem is immutable; solvers share instances freely.
     """
 
@@ -41,8 +43,12 @@ class QuadraticProblem:
             n = self._h.shape[0]
             if self._h.shape[0] != self._h.shape[1]:
                 raise ValueError("sparse Hessian must be square")
+            if not np.isfinite(self._h.data).all():
+                raise ValueError("Hessian entries must be finite")
         else:
             h = np.asarray(hessian, dtype=np.float64)
+            if not np.isfinite(h).all():
+                raise ValueError("Hessian entries must be finite")
             if h.ndim == 1:
                 if np.any(h <= 0.0):
                     raise ValueError("diagonal Hessian entries must be strictly positive")
@@ -64,6 +70,8 @@ class QuadraticProblem:
             self.b = np.asarray(b, dtype=np.float64).copy()
             if self.b.shape != (n,):
                 raise ValueError(f"b has length {self.b.shape}, expected ({n},)")
+            if not np.isfinite(self.b).all():
+                raise ValueError("b entries must be finite")
 
     @property
     def hessian(self):

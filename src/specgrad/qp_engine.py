@@ -41,7 +41,15 @@ __all__ = [
 
 
 class DivergedError(RuntimeError):
-    """The iteration produced a nonfinite objective value."""
+    """The iteration produced a nonfinite objective value.
+
+    ``trace`` is the run recorded up to the last finite iterate
+    (termination ``diverged``) where the raiser keeps one, else None.
+    """
+
+    def __init__(self, message: str, trace: "RunTrace | None" = None):
+        super().__init__(message)
+        self.trace = trace
 
 
 class _Caches:
@@ -265,7 +273,8 @@ class TraceRecorder:
         """Stop test at the newest iterate."""
         return measure <= self.tol or len(self.rows) >= self.max_iter
 
-    def result(self, x_final: np.ndarray, **extra) -> RunTrace:
+    def result(self, x_final: np.ndarray, termination: str | None = None, **extra) -> RunTrace:
+        """The recorded run; ``termination`` overrides the stop test's verdict."""
         last = self.rows[-1] if self.rows else self.first
         cols = list(zip(*self.rows)) or [()] * (2 + len(self.first))
         f, gnorm, *pg = (np.array((v, *col)) for v, col in zip(self.first, cols[2:]))
@@ -275,7 +284,7 @@ class TraceRecorder:
             alpha=np.array(cols[0], dtype=np.float64),
             branch=list(cols[1]),
             iterations=len(self.rows),
-            termination="gradient_tol" if last[-1] <= self.tol else "iter_cap",
+            termination=termination or ("gradient_tol" if last[-1] <= self.tol else "iter_cap"),
             pg_inf=pg[0] if pg else None,
             x_final=x_final,
             **extra,
@@ -330,7 +339,9 @@ def run(
     """Iterate until ||g_k|| <= eps * ||g_1|| or the step count hits max_iter.
 
     Same problem, start, and spec give a bitwise-identical trace on the
-    same BLAS thread count.
+    same BLAS thread count. The path does not depend on ``eps``, which only
+    decides where it stops. A step to a nonfinite objective raises
+    ``DivergedError`` carrying the trace up to the last finite iterate.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -358,10 +369,13 @@ def run(
     add, tol = trace.add, trace.tol
     k = 1
     while True:
-        x -= alpha * c.g
         f = f - alpha * c.gg + 0.5 * alpha * alpha * c.gw
         if not math.isfinite(f):
-            raise DivergedError(f"nonfinite objective at iteration {k}")
+            raise DivergedError(
+                f"nonfinite objective at iteration {k}",
+                trace.result(x, "diverged", gradients=grads),
+            )
+        x -= alpha * c.g
         g_new = c.g - alpha * c.w
         _shift_in(c, p, g_new)
         if retain_gradients:

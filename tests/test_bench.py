@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specgrad import bench, qp_engine
 from specgrad.bench import (
     ExperimentPlan,
     RESULT_FIELDS,
@@ -13,6 +16,9 @@ from specgrad.bench import (
     summarize,
     write_results_csv,
 )
+from specgrad.problem import BoxBounds, ObjectiveOracle, QuadraticProblem
+from specgrad.qp_engine import StrategySpec
+from specgrad.suite import BoundedProblem
 
 
 def tiny_plan(**overrides):
@@ -126,6 +132,171 @@ class TestRunPlan:
             assert group["runs"] == 2
             assert group["failures"] == 0
             assert group["mean_iters"] == round(group["mean_iters"], 1)
+
+
+def one_run_per_tolerance(plan):
+    """(iters, termination) of a separate engine run per cell, in row order."""
+    out = []
+    for desc in plan.problems:
+        for seed in desc["seeds"]:
+            problem, x1, _ = bench._instantiate_quadratic(desc, seed)
+            for strat in plan.strategies:
+                for eps in plan.tolerances:
+                    try:
+                        tr = qp_engine.run(problem, x1, StrategySpec(**strat), eps=eps, max_iter=plan.iter_cap)
+                        out.append((tr.iterations, tr.termination))
+                    except qp_engine.DivergedError:
+                        out.append((plan.iter_cap, "diverged"))
+    return out
+
+
+def cells(rows):
+    return [(r["iters"], r["termination"]) for r in rows]
+
+
+def unsorted_rows(plan):
+    """Rows in job order (run_plan sorts them by key)."""
+    return [row for job in bench._plan_jobs(plan) for row in bench._execute(job, plan)]
+
+
+TOLERANCES = st.sampled_from([0.5, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12]) | st.floats(1e-13, 0.9)
+
+
+class TestSharedTrajectory:
+    """Every tolerance's row is read off one run per (instance, strategy)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["TP1", "SET1", "SET2", "SET3", "SET4", "SET5"]),
+        n=st.integers(5, 50),
+        kappa=st.floats(2.0, 1e6),
+        seed=st.integers(0, 2**16),
+        h=st.integers(2, 12),
+        s=st.integers(1, 12),
+        tolerances=st.lists(TOLERANCES, min_size=1, max_size=5).flatmap(
+            # repeat one entry, so duplicates appear alongside unsorted lists
+            lambda ts: st.permutations(ts + ts[:1])
+        ),
+        iter_cap=st.integers(1, 60),
+    )
+    def test_rows_equal_one_run_per_tolerance(self, family, n, kappa, seed, h, s, tolerances, iter_cap):
+        plan = ExperimentPlan.from_json(
+            {
+                "problems": [{"family": family, "n": n, "kappa": kappa, "seeds": [seed], "mode": "diag"}],
+                "strategies": [{"method": m, "h": h, "s": s} for m in qp_engine.METHODS],
+                "tolerances": tolerances,
+                "iter_cap": iter_cap,
+            }
+        )
+        assert cells(unsorted_rows(plan)) == one_run_per_tolerance(plan)
+
+    def test_tolerance_landing_on_a_recorded_norm(self):
+        # eps * ||g_1|| == ||g_i|| exactly: the row stops at i, as the engine's `<=` does
+        desc, seed = tiny_plan().problems[0], 1
+        problem, x1, _ = bench._instantiate_quadratic(desc, seed)
+        gnorm = qp_engine.run(problem, x1, StrategySpec("BB1"), eps=1e-6).gnorm
+        records = [i for i in range(1, len(gnorm)) if gnorm[i] < gnorm[:i].min()]
+        ties = [(i, gnorm[i] / gnorm[0]) for i in records if gnorm[i] / gnorm[0] * gnorm[0] == gnorm[i]]
+        assert len(ties) >= 3
+        plan = tiny_plan(
+            problems=[dict(desc, seeds=[seed])],
+            strategies=[{"method": "BB1"}],
+            tolerances=[float(eps) for _, eps in ties],
+        )
+        assert cells(unsorted_rows(plan)) == [(i, "gradient_tol") for i, _ in ties]
+        assert cells(unsorted_rows(plan)) == one_run_per_tolerance(plan)
+
+    def test_some_cells_cap_and_some_converge(self):
+        plan = tiny_plan(tolerances=[1e-12, 1e-2, 1e-12], iter_cap=30)
+        got = cells(unsorted_rows(plan))
+        assert got == one_run_per_tolerance(plan)
+        assert {t for _, t in got} == {"gradient_tol", "iter_cap"}
+
+    def test_one_build_and_one_run_per_instance_and_strategy(self, monkeypatch):
+        builds, runs = [], []
+        build, run = bench._instantiate_quadratic, qp_engine.run
+        monkeypatch.setattr(bench, "_instantiate_quadratic", lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(qp_engine, "run", lambda *a, **k: runs.append(k["eps"]) or run(*a, **k))
+        rows = run_plan(tiny_plan(tolerances=[1e-6, 1e-9, 1e-3]))
+        assert len(rows) == 12  # 2 seeds x 2 strategies x 3 tolerances
+        assert len(builds) == 2
+        assert runs == [1e-9] * 4
+
+    def test_rows_carry_only_result_fields(self):
+        assert all(set(r) == set(RESULT_FIELDS) for r in run_plan(tiny_plan()))
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, math.nan])
+    def test_quadratic_tolerance_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError):
+            run_plan(tiny_plan(tolerances=[1e-6, eps]))
+
+
+def indefinite_instance(desc, seed):
+    """A run of SD from this start crosses 1e-4 relative to ||g_1|| within
+    100 steps; the negative eigenvalue's component then grows until the
+    objective overflows."""
+    problem = QuadraticProblem(np.diag([1.0, 3.0, 10.0, -1.0]))
+    return problem, np.array([1.0, 1.0, 1.0, 1e-12]), {"family": "INDEF", "kappa": ""}
+
+
+class TestFailureTerminations:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_after_crossing_the_loosest_tolerance(self, monkeypatch):
+        monkeypatch.setattr(bench, "_instantiate_quadratic", indefinite_instance)
+        plan = tiny_plan(strategies=[{"method": "SD"}], tolerances=[1e-9, 1e-4, 1e-12], iter_cap=20000)
+        rows = unsorted_rows(plan)
+        assert cells(rows) == one_run_per_tolerance(plan)
+        by_eps = {r["eps"]: r for r in rows}
+        assert by_eps[1e-4]["termination"] == "gradient_tol"
+        assert by_eps[1e-4]["iters"] < 100
+        for eps in (1e-9, 1e-12):
+            assert by_eps[eps]["termination"] == "diverged"
+            assert by_eps[eps]["iters"] == plan.iter_cap
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverged_error_carries_the_finite_part_of_the_run(self):
+        problem, x1, _ = indefinite_instance(None, None)
+        with pytest.raises(qp_engine.DivergedError) as info:
+            qp_engine.run(problem, x1, StrategySpec("SD"), eps=1e-12)
+        trace = info.value.trace
+        assert trace.termination == "diverged"
+        assert len(trace.gnorm) == trace.iterations + 1 == len(trace.alpha) + 1
+        assert np.isfinite(trace.f).all()
+        # x_final is the last recorded iterate
+        assert problem.objective(trace.x_final) == pytest.approx(trace.f[-1], rel=1e-6)
+
+    @staticmethod
+    def box_plan(monkeypatch, f_off_start):
+        """Box plan over one entry whose objective is x'x at the start and
+        ``f_off_start`` everywhere else."""
+        def oracle():
+            return ObjectiveOracle(lambda x: float(x @ x) if np.all(x == 1.0) else f_off_start, lambda x: 2.0 * x)
+
+        entry = BoundedProblem("broken", oracle, BoxBounds.free(3), np.ones(3))
+        monkeypatch.setattr(bench, "make_suite", lambda: [entry])
+        return ExperimentPlan.from_json(
+            {
+                "problems": [{"kind": "box_suite"}],
+                "strategies": [{"variant": "A1"}, {"variant": "SPG"}],
+                "tolerances": [1e-6],
+                "iter_cap": 500,
+            }
+        )
+
+    def test_box_line_search_failed(self, monkeypatch):
+        rows = run_plan(self.box_plan(monkeypatch, math.nan))
+        assert [r["termination"] for r in rows] == ["line_search_failed"] * 2
+        assert all(r["iters"] == 500 for r in rows)
+        assert all(r["func_evals"] > 50 for r in rows)  # every backtrack was counted
+
+    def test_box_diverged(self, monkeypatch):
+        rows = run_plan(self.box_plan(monkeypatch, -math.inf))
+        assert [r["termination"] for r in rows] == ["diverged"] * 2
+        assert all(r["iters"] == 500 for r in rows)
+
+    def test_summarize_counts_named_failures(self, monkeypatch):
+        summary = summarize(run_plan(self.box_plan(monkeypatch, math.nan)))
+        assert [(g["runs"], g["failures"], g["mean_iters"]) for g in summary] == [(1, 1, 500.0)] * 2
 
 
 class TestPerformanceProfile:

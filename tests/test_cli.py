@@ -23,6 +23,16 @@ def test_gen_then_solve(tmp_path):
     assert float(rows[-1]["gnorm"]) <= 1e-9 * float(rows[0]["gnorm"])
 
 
+def test_solve_nonfinite_problem_exits_1(tmp_path, capsys):
+    problem = tmp_path / "nan.json"
+    # json writes and reads the NaN literal
+    problem.write_text(json.dumps({"kind": "diag", "eigenvalues": [1.0, float("nan")]}))
+    rc = main(["solve", "--problem", str(problem), "--strategy", "sd",
+               "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_solve_unknown_strategy(tmp_path, capsys):
     problem = tmp_path / "p.json"
     main(["gen", "--family", "TP1", "--n", "10", "--out", str(problem)])

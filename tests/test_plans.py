@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from specgrad.bench import ExperimentPlan, _plan_jobs
+from specgrad.bench import ExperimentPlan
 
 PLAN_DIR = os.path.join(os.path.dirname(__file__), "..", "plans")
 
@@ -26,7 +26,8 @@ def test_table1_grid_shape():
     assert len(methods) == 20  # x ten (h,s) pairs
     assert len(plan.tolerances) == 3
     # cells: 2 methods x 10 pairs x 3 tolerances, 10 seeds each
-    assert len(_plan_jobs(plan)) == 600
+    seeds = sum(len(p["seeds"]) for p in plan.problems)
+    assert seeds * len(plan.strategies) * len(plan.tolerances) == 600
 
 
 def test_set_tables_cover_families_and_kappas():

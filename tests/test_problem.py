@@ -49,6 +49,26 @@ class TestHessianApply:
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_diagonal_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticProblem(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_dense_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticProblem(np.array([[2.0, bad], [bad, 2.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_sparse_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticProblem(sp.diags([1.0, bad, 3.0]).tocsr())
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_b_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticProblem(np.array([1.0, 2.0]), b=np.array([bad, 1.0]))
+
 
 class TestGradient:
     def test_identity_zero_b(self):
