@@ -39,6 +39,7 @@ from .qp_engine import (
     RunTrace,
     StrategySpec,
     run,
+    run_many,
     stepsize_history_diagnostic,
 )
 from .stepsize import (

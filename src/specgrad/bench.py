@@ -4,10 +4,11 @@ A plan is a JSON document listing problem descriptors (with seed lists),
 strategies, and tolerances. ``run_plan`` executes the full grid serially
 and returns rows in a deterministic key order, so result CSVs are
 byte-identical from run to run on the same BLAS thread count. Each
-quadratic (descriptor, seed) instance is built once, and each strategy
-runs one trajectory on it, at the smallest tolerance: every tolerance's
-row is read off that trajectory. The reproducible metrics are iteration
-and function-evaluation counts.
+quadratic (descriptor, seed) instance is built once, and all of its
+strategies run in one ``qp_engine.run_many`` call, one trajectory each, at
+the smallest tolerance: every tolerance's row is read off that
+trajectory. The reproducible metrics are iteration and
+function-evaluation counts.
 """
 
 from __future__ import annotations
@@ -144,15 +145,13 @@ def _instantiate_quadratic(desc: dict, seed: int) -> tuple[QuadraticProblem, np.
 
 
 def _run_quadratic_instance(desc: dict, seed: int, plan: ExperimentPlan) -> list[dict]:
-    """Rows of every (strategy, tolerance) cell on one built instance."""
+    """Rows of every (strategy, tolerance) cell on one built instance,
+    whose strategies run as one lockstep block."""
     problem, x1, meta = _instantiate_quadratic(desc, seed)
+    specs = [StrategySpec(**strat) for strat in plan.strategies]
+    traces = qp_engine.run_many(problem, x1, specs, eps=min(plan.tolerances), max_iter=plan.iter_cap)
     rows = []
-    for strat in plan.strategies:
-        spec = StrategySpec(**strat)
-        try:
-            trace = qp_engine.run(problem, x1, spec, eps=min(plan.tolerances), max_iter=plan.iter_cap)
-        except qp_engine.DivergedError as exc:
-            trace = exc.trace
+    for spec, trace in zip(specs, traces):
         gnorm = trace.gnorm
         for eps in plan.tolerances:
             # the engine's stop test: the first i with ||g_i|| <= eps ||g_1||
@@ -244,9 +243,10 @@ def _row_key(row: dict) -> tuple:
 def run_plan(plan: ExperimentPlan) -> list[dict]:
     """One row per (problem instance, strategy, tolerance) cell.
 
-    Each quadratic instance is built once and each strategy runs one
-    trajectory on it, at the smallest tolerance; every tolerance's row is
-    read off that trajectory, so it equals a run stopped at that tolerance.
+    Each quadratic instance is built once and its strategies run as one
+    block, one trajectory each, at the smallest tolerance; every
+    tolerance's row is read off that trajectory, so it equals a run
+    stopped at that tolerance.
     Box cells run once per tolerance. Failures inside a run are recorded,
     never raised: ``diverged`` or ``line_search_failed`` rows carry
     ``iters = iter_cap``, except a tolerance crossed before a divergence,

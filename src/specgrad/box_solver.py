@@ -220,7 +220,7 @@ def solve_box(
     gnorm = float(np.linalg.norm(g))
     pg = _pg_norm(x, g, bounds)
 
-    trace = TraceRecorder((fx, gnorm, pg), cfg.eps_pg, cfg.max_iter)
+    trace = TraceRecorder(fx, gnorm, cfg.eps_pg, cfg.max_iter, pg=pg)
     ls = LineSearchState.fresh(fx, M=cfg.M, sigma=cfg.sigma)
     mem = StepsizeMemory()
     mem.start(g)
@@ -288,7 +288,7 @@ def solve_box(
             ls.f_r = ls.f_max
         x, g = x_new, g_new
         pg = _pg_norm(x, g, bounds)
-        trace.add((rec["alpha"], label, f_new, gnorm, pg))
+        trace.add(rec["alpha"], label, f_new, gnorm, pg)
         done = trace.stop(pg)
         k += 1
 

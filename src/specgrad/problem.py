@@ -85,12 +85,20 @@ class QuadraticProblem:
         return self._h
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Hessian-vector product A v."""
+        """Hessian-vector product A v, or A v_i for every row v_i of a (B, n) block.
+
+        Each row's product is bitwise the product of that row alone: a
+        diagonal Hessian multiplies per element, and a dense or sparse one
+        takes one product per row, because a (B, n) @ A' product sums in
+        another order.
+        """
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},)")
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+            raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},) or (B, {self.dim})")
         if self.kind == "diag":
             return self._h * v
+        if v.ndim == 2:
+            return np.stack([self._h @ row for row in v])
         return self._h @ v
 
     def gradient(self, x: np.ndarray) -> np.ndarray:

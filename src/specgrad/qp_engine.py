@@ -1,10 +1,25 @@
 """Fixed-rule gradient iteration x_{k+1} = x_k - alpha_k g_k on quadratics.
 
-The engine runs one strategy on one problem and records a full trace.
-Each iteration costs exactly one Hessian-vector product: the gradient is
-advanced by the recurrence g_{k+1} = g_k - alpha_k A g_k and the
-objective by the exact quadratic identity
-f(x - alpha g) = f(x) - alpha ||g||^2 + alpha^2/2 g'Ag.
+There is one engine, ``run_many``: it runs any number of strategies on
+one problem from one start in lockstep and records a full trace per
+strategy. The strategies' iterates, gradients and Hessian products are
+the rows of (B, n) blocks; a block of one row is a plain vector, and
+``run`` is a block of one row. Each iteration costs exactly one
+Hessian-vector product per row: the gradient is advanced by the
+recurrence g_{k+1} = g_k - alpha_k A g_k and the objective by the exact
+quadratic identity f(x - alpha g) = f(x) - alpha ||g||^2 + alpha^2/2 g'Ag.
+
+A row's trace is bitwise equal to its strategy run alone, because every
+row takes the same floating-point operations as a lone vector:
+- each row's inner products go through the BLAS dot that a 1-D
+  ``a @ b`` calls (a stacked ``matmul`` of (1, n) by (n, 1) slices takes
+  numpy's vector-dot path);
+- the block updates and a diagonal Hessian product act per element,
+  and a dense or sparse Hessian product is taken one row at a time,
+  since a (B, n) @ A' product sums in another order;
+- all rule arithmetic runs on Python floats, one row at a time (numpy's
+  vectorised square differs from Python's ``x**2`` in the last bit of
+  some doubles).
 
 Every strategy is one row of a rule table: the long-phase value it takes
 at k = 1, the long-phase value it takes from k = 2 on, and a short rule
@@ -20,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -36,12 +52,18 @@ __all__ = [
     "RunTrace",
     "DivergedError",
     "run",
+    "run_many",
     "stepsize_history_diagnostic",
 ]
 
+# A block holds at most max(1, BLOCK_ELEMENTS // n) rows: 65 at n = 1000,
+# and one row, a plain vector, from n = 32769 on, so a large problem's
+# memory and work per iteration are those of a single run.
+BLOCK_ELEMENTS = 2**16
+
 
 class DivergedError(RuntimeError):
-    """The iteration produced a nonfinite objective value.
+    """The run failed numerically (see ``run_many`` for the causes).
 
     ``trace`` is the run recorded up to the last finite iterate
     (termination ``diverged``) where the raiser keeps one, else None.
@@ -52,20 +74,35 @@ class DivergedError(RuntimeError):
         self.trace = trace
 
 
-class _Caches:
-    """Scalars/vectors the stepsize rules read, at the current iterate and
-    (suffix ``_prev``) one iterate back; ``bar`` is the spectral quotient
-    that the NEWS family's short rule reads."""
+class _Row:
+    """One strategy's run inside a block.
+
+    It holds the scalars the stepsize rules read, at the current iterate
+    and (suffix ``_prev``) one iterate back, with ``bar`` the spectral
+    quotient that the NEWS family's short rule reads; its rule, schedule
+    and short-rule memory; its step count k, the step it takes next
+    (alpha, label) with the objective f it reaches; its recorder, and its
+    place ``out`` among the returned traces.
+    """
 
     __slots__ = (
-        "g", "w", "gg", "gw", "gnorm", "sd", "aopt", "bb2",
-        "g_prev", "w_prev", "gw_prev", "gnorm_prev", "sd_prev", "aopt_prev", "bb2_prev",
-        "bar",
+        "gw", "gnorm", "sd", "aopt", "bb2",
+        "gw_prev", "gnorm_prev", "sd_prev", "aopt_prev", "bb2_prev", "bar",
+        "first", "later", "short", "state", "h", "period", "bars",
+        "k", "alpha", "label", "f", "trace", "grads", "out",
     )
 
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, None)
+    def __init__(self, spec: "StrategySpec", f1: float, trace: "TraceRecorder", grads: list | None, out: int):
+        self.gw = self.gnorm = self.sd = self.aopt = self.bb2 = self.bar = None
+        rule = _RULES[spec.method]
+        self.first, self.later = attrgetter(rule.first), attrgetter(rule.later)
+        self.h, s = rule.cycle or (spec.h, spec.s)
+        self.period = self.h + s
+        self.short, self.state = rule.short, _ShortState(spec)
+        # bars[0] is the quotient `lag` steps back, None until it exists
+        self.bars = None if rule.lag is None else deque([None] * rule.lag, maxlen=rule.lag + 1)
+        self.k, self.f = 0, f1
+        self.trace, self.grads, self.out = trace, grads, out
 
 
 class _ShortState:
@@ -82,19 +119,19 @@ class _ShortState:
 # Short rules: (caches, long value, first step of the short phase, state) -> (alpha, label)
 
 
-def _yuan(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _yuan(c: _Row, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
     """Two-point stepsize from the last two Cauchy steps (DY)."""
     return yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm), "short"
 
 
-def _yuan_frozen(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _yuan_frozen(c: _Row, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
     """Two-point stepsize taken on entering the short phase and held through it (SDC)."""
     if entering:
         st.frozen = yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm)
     return st.frozen, "short"
 
 
-def _abb_min(c: _Caches, bb1: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _abb_min(c: _Row, bb1: float, entering: bool, st: _ShortState) -> tuple[float, str]:
     """ABBMIN2 (Frassoldati, Zanghirati and Zanni, J. Ind. Manag. Optim. 4,
     2008): the minimum over the recent BB2 window when BB2_k/BB1_k < tau,
     else BB1_k. With the default window of two this is
@@ -106,7 +143,7 @@ def _abb_min(c: _Caches, bb1: float, entering: bool, st: _ShortState) -> tuple[f
     return bb1, "long"
 
 
-def _spectral(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _spectral(c: _Row, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
     """Long value capped by the spectral quotient; the long value alone while
     the quotient is undefined (NEWS family)."""
     if c.bar is None:
@@ -115,8 +152,8 @@ def _spectral(c: _Caches, long_val: float, entering: bool, st: _ShortState) -> t
 
 
 class _Rule(NamedTuple):
-    first: str  # _Caches field holding the long value at k = 1
-    later: str  # _Caches field holding the long value from k = 2 on
+    first: str  # _Row field holding the long value at k = 1
+    later: str  # _Row field holding the long value from k = 2 on
     short: Callable | None = None
     # (long, short) phase lengths; None takes the spec's (h, s)
     cycle: tuple[int, int] | None = (1, 0)
@@ -142,7 +179,10 @@ _RULES = {
 
 METHODS = tuple(_RULES)
 HS_METHODS = frozenset(m for m, rule in _RULES.items() if rule.cycle is None)
-_MONOTONE = {"SD", "AOPT", "DY", "SDC", "NEWS0", "NEWS"}
+# SDC is left out: the Yuan step it holds through the short phase can
+# exceed 2 g'g/g'Ag at later iterates, and f rises (SDC(10, 30) raises f on
+# most SET problems of n = 50).
+_MONOTONE = {"SD", "AOPT", "DY", "NEWS0", "NEWS"}
 
 
 @dataclass(frozen=True)
@@ -194,7 +234,8 @@ class RunTrace:
     one (length iterations + 1); ``alpha`` and ``branch`` cover the steps
     taken. ``gradients`` is populated only when gradient retention was
     requested. The evaluation counters are filled by the oracle-based
-    solvers and stay zero for the quadratic engine.
+    solvers and stay zero for the quadratic engine. ``failure`` says why
+    a ``diverged`` run stopped.
     """
 
     f: np.ndarray
@@ -210,6 +251,7 @@ class RunTrace:
     pg_inf: np.ndarray | None = None
     ls_records: list[dict] | None = field(default=None, repr=False)
     x_final: np.ndarray | None = field(default=None, repr=False)
+    failure: str | None = None
 
     @property
     def final_gnorm_ratio(self) -> float:
@@ -254,78 +296,208 @@ class RunTrace:
 class TraceRecorder:
     """Per-step record, stop test and ``RunTrace`` of one solver run.
 
-    ``first`` holds (f, gnorm) at the starting point, plus the projected
-    gradient sup-norm for the box solvers. ``add`` records one step as the
-    row (alpha, branch) followed by the same fields at the iterate it
-    reached. The last field is the stop measure: the run stops once it
-    falls to ``tol`` (``gradient_tol``) or after ``max_iter`` steps
-    (``iter_cap``).
+    It starts from (f, gnorm) at the starting point, plus ``pg``, the
+    projected gradient sup-norm, for the box solvers. ``add`` records one
+    step, (alpha, branch), and the same fields at the iterate it reached.
+    The stop measure is pg where it is recorded, else gnorm: the run
+    stops once it falls to ``tol`` (``gradient_tol``) or after
+    ``max_iter`` steps (``iter_cap``). Columns are typed float arrays,
+    8 bytes a value, so many live recorders stay small.
     """
 
-    def __init__(self, first: tuple, tol: float, max_iter: int):
-        self.first = first
-        self.rows: list[tuple] = []
-        self.add = self.rows.append
+    def __init__(self, f: float, gnorm: float, tol: float, max_iter: int, pg: float | None = None):
+        self.alpha = array("d")
+        self.branch: list[str] = []
+        self.f = array("d", [f])
+        self.gnorm = array("d", [gnorm])
+        self.pg = None if pg is None else array("d", [pg])
+        self.measure = self.gnorm if pg is None else self.pg
         self.tol = tol
         self.max_iter = max_iter
 
+    def add(self, alpha: float, label: str, f: float, gnorm: float, pg: float | None = None) -> None:
+        self.alpha.append(alpha)
+        self.branch.append(label)
+        self.f.append(f)
+        self.gnorm.append(gnorm)
+        if pg is not None:
+            self.pg.append(pg)
+
     def stop(self, measure: float) -> bool:
         """Stop test at the newest iterate."""
-        return measure <= self.tol or len(self.rows) >= self.max_iter
+        return measure <= self.tol or len(self.alpha) >= self.max_iter
 
     def result(self, x_final: np.ndarray, termination: str | None = None, **extra) -> RunTrace:
         """The recorded run; ``termination`` overrides the stop test's verdict."""
-        last = self.rows[-1] if self.rows else self.first
-        cols = list(zip(*self.rows)) or [()] * (2 + len(self.first))
-        f, gnorm, *pg = (np.array((v, *col)) for v, col in zip(self.first, cols[2:]))
         return RunTrace(
-            f=f,
-            gnorm=gnorm,
-            alpha=np.array(cols[0], dtype=np.float64),
-            branch=list(cols[1]),
-            iterations=len(self.rows),
-            termination=termination or ("gradient_tol" if last[-1] <= self.tol else "iter_cap"),
-            pg_inf=pg[0] if pg else None,
+            f=np.array(self.f),
+            gnorm=np.array(self.gnorm),
+            alpha=np.array(self.alpha),
+            branch=self.branch,
+            iterations=len(self.alpha),
+            termination=termination or ("gradient_tol" if self.measure[-1] <= self.tol else "iter_cap"),
+            pg_inf=None if self.pg is None else np.array(self.pg),
             x_final=x_final,
             **extra,
         )
 
 
-def _shift_in(c: _Caches, p: QuadraticProblem, g: np.ndarray) -> None:
-    """Move the current values one iterate back and cache those of gradient g."""
-    c.g_prev = c.g
-    c.w_prev = c.w
-    c.gw_prev = c.gw
-    c.gnorm_prev = c.gnorm
-    c.sd_prev = c.sd
-    c.aopt_prev = c.aopt
-    c.bb2_prev = c.bb2
-    c.g = g
-    c.w = w = p.apply(g)
-    c.gg = gg = float(g @ g)
-    c.gw = gw = float(g @ w)
-    ww = float(w @ w)
-    c.gnorm = math.sqrt(gg)
-    if gg == 0.0:
-        # stationary point: the loop terminates before any rule reads these
-        c.sd = c.aopt = c.bb2 = None
-    else:
-        c.sd = gg / gw
-        c.aopt = c.gnorm / math.sqrt(ww)
-        c.bb2 = gw / ww
-
-
-def _bar_alpha_cached(c: _Caches) -> float | None:
-    """Spectral quotient for (g_{k-1}, g_k) from cached products; None when
-    the normalized gradients cancel (or rounding makes d'd nonpositive)."""
-    cross_gg = float(c.g_prev @ c.g)
-    cross_wg = float(c.w_prev @ c.g)
+def _bar_alpha_cached(c: _Row, cross_gg: float, cross_wg: float) -> float | None:
+    """Spectral quotient for (g_{k-1}, g_k) from cached products and the
+    cross products g_{k-1}'g_k, (Ag_{k-1})'g_k; None when the normalized
+    gradients cancel (or rounding makes d'd nonpositive)."""
     denom = c.gnorm_prev * c.gnorm
     dd = 2.0 - 2.0 * cross_gg / denom
     dad = c.gw_prev / c.gnorm_prev**2 + c.gw / c.gnorm**2 - 2.0 * cross_wg / denom
     if dd <= 0.0 or dad <= 0.0:
         return None
     return dd / dad
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+    """a_i'b_i for every row i of two (B, n) blocks, as Python floats; each
+    is the BLAS dot that a 1-D ``a_i @ b_i`` calls. A one-row block is a
+    vector, and ``ndarray.dot`` reaches that dot about 1 us sooner than a
+    stacked matmul or a 1-D ``@``."""
+    if a.ndim == 1:
+        return [float(a.dot(b))]
+    return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
+
+
+def run_many(
+    p: QuadraticProblem,
+    x1: np.ndarray,
+    specs: list[StrategySpec],
+    eps: float = 1e-9,
+    max_iter: int = 20000,
+    retain_gradients: bool = False,
+) -> list[RunTrace]:
+    """Run every strategy in ``specs`` on ``p`` from ``x1``; one trace per spec, in order.
+
+    Each strategy iterates until ||g_k|| <= eps * ||g_1|| or its step
+    count hits max_iter. The strategies advance in lockstep blocks of at
+    most max(1, BLOCK_ELEMENTS // n) rows, and a row that stops leaves its
+    block. Every trace is bitwise equal to that strategy run alone, on the
+    same BLAS thread count, whatever the other rows are. The path does not
+    depend on ``eps``, which only decides where it stops.
+
+    A row that fails numerically ends ``diverged`` with its trace up to
+    the last finite iterate and the cause in ``failure``, and the other
+    rows run on. The causes are a nonfinite ||g_1|| or f_1 at the start,
+    a step to a nonfinite objective, zero curvature g'Ag = 0, and an
+    undefined two-point (DY, SDC) short step.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    x = np.asarray(x1, dtype=np.float64).copy()
+    if x.shape != (p.dim,):
+        raise ValueError(f"x1 has shape {x.shape}, expected ({p.dim},)")
+
+    g = p.gradient(x)
+    gnorm1 = float(np.linalg.norm(g))
+    f1 = 0.5 * float(x @ g) - 0.5 * float(p.b @ x)
+    tol = eps * gnorm1
+    failure = None
+    if not (math.isfinite(gnorm1) and math.isfinite(f1)):
+        failure = "nonfinite gradient norm or objective at the start"
+    traces: list[RunTrace | None] = [None] * len(specs)
+    rows = []
+    for out, spec in enumerate(specs):
+        trace = TraceRecorder(f1, gnorm1, tol, max_iter)
+        grads = [g.copy()] if retain_gradients else None
+        if failure:
+            traces[out] = trace.result(x.copy(), "diverged", gradients=grads, failure=failure)
+        elif trace.stop(gnorm1):
+            traces[out] = trace.result(x.copy(), gradients=grads)
+        else:
+            rows.append(_Row(spec, f1, trace, grads, out))
+    height = max(1, BLOCK_ELEMENTS // p.dim)
+    for i in range(0, len(rows), height):
+        _run_block(p, x, g, rows[i : i + height], tol, max_iter, traces)
+    return traces
+
+
+def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
+    """Run the rows ``live`` from iterate 1 = (x, g) until each has
+    stopped, storing their traces; rows leave the block as they stop."""
+    n = p.dim
+    one = len(live) == 1
+    if one:
+        X, G = x.copy(), g
+    else:
+        X, G = np.tile(x, (len(live), 1)), np.tile(g, (len(live), 1))
+    W = p.apply(G)
+    lagged = any(r.bars is not None for r in live)
+    CGG = CWG = None
+    while True:
+        GG, GW, WW = _row_dots(G, G), _row_dots(G, W), _row_dots(W, W)
+
+        done = []
+        for i, r in enumerate(live):
+            gg = GG[i]
+            gnorm = math.sqrt(gg)
+            k = r.k
+            if k:  # record the step that reached this iterate, then the stop test
+                r.trace.add(r.alpha, r.label, r.f, gnorm)
+                if r.grads is not None:
+                    r.grads.append(G.reshape(-1, n)[i].copy())
+                if gnorm <= tol or k >= max_iter:
+                    traces[r.out] = r.trace.result(X.reshape(-1, n)[i].copy(), gradients=r.grads)
+                    done.append(i)
+                    continue
+            r.k = k = k + 1
+            try:
+                gw, ww = GW[i], WW[i]
+                # move the cached values one iterate back, then cache this one's
+                r.gw_prev, r.gnorm_prev, r.sd_prev = r.gw, r.gnorm, r.sd
+                r.aopt_prev, r.bb2_prev = r.aopt, r.bb2
+                r.gw, r.gnorm = gw, gnorm
+                r.sd = gg / gw
+                r.aopt = gnorm / math.sqrt(ww)
+                r.bb2 = gw / ww
+                if k == 1:
+                    alpha, label = r.first(r), "long"
+                else:
+                    bars = r.bars
+                    if bars is not None:
+                        bars.append(_bar_alpha_cached(r, CGG[i], CWG[i]))
+                        r.bar = bars[0]
+                    alpha, label = r.later(r), "long"
+                    phase = k % r.period
+                    if phase >= r.h:
+                        alpha, label = r.short(r, alpha, phase == r.h, r.state)
+            except ZeroDivisionError:
+                failure = f"zero curvature g'Ag = 0 at iteration {k}"
+            except (ArithmeticError, StepsizeUndefinedError) as exc:
+                failure = f"stepsize undefined at iteration {k}: {exc}"
+            else:
+                f = r.f - alpha * gg + 0.5 * alpha * alpha * gw
+                if math.isfinite(f):
+                    r.alpha, r.label, r.f = alpha, label, f
+                    continue
+                failure = f"nonfinite objective at iteration {k}"
+            traces[r.out] = r.trace.result(
+                X.reshape(-1, n)[i].copy(), "diverged", gradients=r.grads, failure=failure
+            )
+            done.append(i)
+
+        if done:
+            if len(done) == len(live):
+                return
+            keep = [i for i in range(len(live)) if i not in done]
+            live = [live[i] for i in keep]
+            X, G, W = X[keep], G[keep], W[keep]
+            lagged = any(r.bars is not None for r in live)
+
+        # one step for every row: a lone row steps by a float, a block by
+        # a column of its rows' stepsizes
+        A = live[0].alpha if one else np.array([r.alpha for r in live])[:, None]
+        X -= A * G
+        G_new = G - A * W
+        W_new = p.apply(G_new)
+        if lagged:
+            CGG, CWG = _row_dots(G, G_new), _row_dots(W, G_new)
+        G, W = G_new, W_new
 
 
 def run(
@@ -336,62 +508,17 @@ def run(
     max_iter: int = 20000,
     retain_gradients: bool = False,
 ) -> RunTrace:
-    """Iterate until ||g_k|| <= eps * ||g_1|| or the step count hits max_iter.
+    """One strategy: ``run_many(p, x1, [spec], ...)[0]``, a block of one row.
 
-    Same problem, start, and spec give a bitwise-identical trace on the
-    same BLAS thread count. The path does not depend on ``eps``, which only
-    decides where it stops. A step to a nonfinite objective raises
-    ``DivergedError`` carrying the trace up to the last finite iterate.
+    Iterates until ||g_k|| <= eps * ||g_1|| or the step count hits
+    max_iter. Same problem, start, and spec give a bitwise-identical trace
+    on the same BLAS thread count. A run that ends ``diverged`` raises
+    ``DivergedError`` carrying its trace up to the last finite iterate.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    x = np.asarray(x1, dtype=np.float64).copy()
-    if x.shape != (p.dim,):
-        raise ValueError(f"x1 has shape {x.shape}, expected ({p.dim},)")
-
-    g = p.gradient(x)
-    gnorm1 = float(np.linalg.norm(g))
-    f = 0.5 * float(x @ g) - 0.5 * float(p.b @ x)
-    trace = TraceRecorder((f, gnorm1), eps * gnorm1, max_iter)
-    grads = [g.copy()] if retain_gradients else None
-    if trace.stop(gnorm1):
-        return trace.result(x, gradients=grads)
-
-    rule = _RULES[spec.method]
-    h, s = rule.cycle or (spec.h, spec.s)
-    period = h + s
-    later, short, state = attrgetter(rule.later), rule.short, _ShortState(spec)
-    # bars[0] is the quotient `lag` steps back, None until it exists
-    bars = None if rule.lag is None else deque([None] * rule.lag, maxlen=rule.lag + 1)
-    c = _Caches()
-    _shift_in(c, p, g)
-    alpha, label = getattr(c, rule.first), "long"
-    add, tol = trace.add, trace.tol
-    k = 1
-    while True:
-        f = f - alpha * c.gg + 0.5 * alpha * alpha * c.gw
-        if not math.isfinite(f):
-            raise DivergedError(
-                f"nonfinite objective at iteration {k}",
-                trace.result(x, "diverged", gradients=grads),
-            )
-        x -= alpha * c.g
-        g_new = c.g - alpha * c.w
-        _shift_in(c, p, g_new)
-        if retain_gradients:
-            grads.append(g_new.copy())
-        add((alpha, label, f, c.gnorm))
-        if c.gnorm <= tol or k >= max_iter:  # trace.stop, inlined
-            return trace.result(x, gradients=grads)
-
-        k += 1
-        if bars is not None:
-            bars.append(_bar_alpha_cached(c))
-            c.bar = bars[0]
-        alpha, label = later(c), "long"
-        phase = k % period
-        if phase >= h:
-            alpha, label = short(c, alpha, phase == h, state)
+    trace = run_many(p, x1, [spec], eps, max_iter, retain_gradients)[0]
+    if trace.termination == "diverged":
+        raise DivergedError(trace.failure, trace)
+    return trace
 
 
 def stepsize_history_diagnostic(

@@ -213,14 +213,19 @@ class TestSharedTrajectory:
         assert {t for _, t in got} == {"gradient_tol", "iter_cap"}
 
     def test_one_build_and_one_run_per_instance_and_strategy(self, monkeypatch):
+        # one engine call per instance, holding each strategy once
         builds, runs = [], []
-        build, run = bench._instantiate_quadratic, qp_engine.run
+        build, run_many = bench._instantiate_quadratic, qp_engine.run_many
         monkeypatch.setattr(bench, "_instantiate_quadratic", lambda *a: builds.append(a) or build(*a))
-        monkeypatch.setattr(qp_engine, "run", lambda *a, **k: runs.append(k["eps"]) or run(*a, **k))
+        def counted(p, x1, specs, **kw):
+            runs.append((kw["eps"], [s.method for s in specs]))
+            return run_many(p, x1, specs, **kw)
+
+        monkeypatch.setattr(qp_engine, "run_many", counted)
         rows = run_plan(tiny_plan(tolerances=[1e-6, 1e-9, 1e-3]))
         assert len(rows) == 12  # 2 seeds x 2 strategies x 3 tolerances
         assert len(builds) == 2
-        assert runs == [1e-9] * 4
+        assert runs == [(1e-9, ["SD", "NEWS"])] * 2
 
     def test_rows_carry_only_result_fields(self):
         assert all(set(r) == set(RESULT_FIELDS) for r in run_plan(tiny_plan()))
@@ -297,6 +302,28 @@ class TestFailureTerminations:
     def test_summarize_counts_named_failures(self, monkeypatch):
         summary = summarize(run_plan(self.box_plan(monkeypatch, math.nan)))
         assert [(g["runs"], g["failures"], g["mean_iters"]) for g in summary] == [(1, 1, 500.0)] * 2
+
+
+class TestFailedRows:
+    """A strategy that fails numerically reads ``diverged`` in its rows,
+    beside the other strategies of the same instance."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_undefined_and_zero_curvature_rows(self, monkeypatch):
+        indefinite = QuadraticProblem(np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4))
+        singular = QuadraticProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+        problems = {1: (indefinite, np.ones(4)), 2: (singular, np.ones(2))}
+        monkeypatch.setattr(
+            bench, "_instantiate_quadratic", lambda desc, seed: (*problems[seed], {"family": "F", "kappa": ""})
+        )
+        plan = tiny_plan(strategies=[{"method": "DY"}, {"method": "BB2"}], tolerances=[1e-6], iter_cap=3000)
+        got = {(r["seed"], r["method"]): (r["iters"], r["termination"]) for r in run_plan(plan)}
+        assert got == {
+            (1, "DY"): (3000, "diverged"),  # undefined short step
+            (1, "BB2"): (24, "gradient_tol"),
+            (2, "DY"): (3000, "diverged"),  # zero curvature at the start
+            (2, "BB2"): (3000, "diverged"),
+        }
 
 
 class TestPerformanceProfile:

@@ -1,6 +1,9 @@
 import csv
 import json
 
+import numpy as np
+import pytest
+
 from specgrad.cli import main
 
 
@@ -31,6 +34,29 @@ def test_solve_nonfinite_problem_exits_1(tmp_path, capsys):
                "--out", str(tmp_path / "t.csv")])
     assert rc == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "desc, strategy, cause",
+    [
+        ({"kind": "dense", "matrix": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}, "sd", "zero curvature"),
+        (
+            {"kind": "dense", "matrix": np.diag([1.0, 3.0, 10.0, -1.0]).tolist(), "b": [1.0] * 4},
+            "dy",
+            "yuan_stepsize",
+        ),
+        ({"kind": "diag", "eigenvalues": [1e300, 1.0], "b": [1.0, 1.0]}, "sd", "nonfinite gradient norm"),
+    ],
+    ids=["singular", "indefinite_dy", "overflow"],
+)
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_solve_numerical_failure_exits_2(tmp_path, capsys, desc, strategy, cause):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(desc))
+    rc = main(["solve", "--problem", str(problem), "--strategy", strategy, "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and cause in err
 
 
 def test_solve_unknown_strategy(tmp_path, capsys):

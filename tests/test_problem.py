@@ -24,6 +24,25 @@ class TestHessianApply:
         p = QuadraticProblem(np.ones(3))
         with pytest.raises(ValueError):
             p.apply(np.ones(4))
+        for shape in ((2, 4), (2, 2, 3), ()):
+            with pytest.raises(ValueError):
+                p.apply(np.ones(shape))
+
+    @pytest.mark.parametrize("kind", ["diag", "dense", "sparse"])
+    def test_block_rows_equal_vector_products(self, kind):
+        rng = np.random.default_rng(5)
+        n = 300
+        if kind == "diag":
+            p = QuadraticProblem(rng.uniform(0.5, 4.0, n))
+        else:
+            m = sp.random(n, n, density=0.05, random_state=5) if kind == "sparse" else rng.standard_normal((n, n))
+            a = m @ m.T + n * sp.eye(n) if kind == "sparse" else m @ m.T + n * np.eye(n)
+            p = QuadraticProblem(a)
+        block = rng.standard_normal((4, n))
+        out = p.apply(block)
+        assert out.shape == (4, n)
+        for row, got in zip(block, out):
+            assert np.array_equal(got, p.apply(row))
 
     @pytest.mark.parametrize("kind", ["diag", "dense", "sparse"])
     def test_linearity_and_symmetry(self, kind):

@@ -1,15 +1,30 @@
+import os
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specgrad.generators import SpectrumSpec, gen_diag_problem
+from specgrad import bench
+from specgrad.generators import (
+    LaplaceSpec,
+    SpectrumSpec,
+    gen_diag_problem,
+    gen_laplace3d,
+    gen_rotated_problem,
+)
 from specgrad.problem import QuadraticProblem
 from specgrad.qp_engine import (
     METHODS,
+    DivergedError,
     RunTrace,
     StrategySpec,
     run,
+    run_many,
     stepsize_history_diagnostic,
 )
 from specgrad.stepsize import (
@@ -318,3 +333,180 @@ class TestRuleTable:
             assert tr.alpha[i] == pytest.approx(alpha, rel=rel, abs=0.0), (method, i + 1)
         if method in ("DY", "SDC", "ABBMIN2") or method.startswith("NEWS"):
             assert "short" in tr.branch
+
+
+def solo(p, x1, spec, **kw):
+    """The trace of ``run``, also when it raises ``DivergedError``."""
+    try:
+        return run(p, x1, spec, **kw)
+    except DivergedError as exc:
+        return exc.trace
+
+
+def assert_same_trace(a, b):
+    """Every field of two traces bitwise equal."""
+    for name in ("f", "gnorm", "alpha", "x_final"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
+    for name in ("branch", "iterations", "termination", "failure"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert (a.gradients is None) == (b.gradients is None)
+    if a.gradients is not None:
+        assert len(a.gradients) == len(b.gradients)
+        assert all(np.array_equal(u, v) for u, v in zip(a.gradients, b.gradients))
+
+
+def assert_rows_equal_solo_runs(p, x1, specs, **kw):
+    traces = run_many(p, x1, specs, **kw)
+    assert len(traces) == len(specs)
+    for spec, trace in zip(specs, traces):
+        assert_same_trace(trace, solo(p, x1, spec, **kw))
+    return traces
+
+
+def every_method(h=4, s=9):
+    return [StrategySpec(m, h=h, s=s) for m in METHODS]
+
+
+SPECS = st.builds(
+    StrategySpec,
+    method=st.sampled_from(METHODS),
+    h=st.integers(2, 12),
+    s=st.integers(1, 12),
+    abb_window=st.integers(1, 4),
+)
+
+
+class TestRunMany:
+    """A block of strategies gives each the trace of its run alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["TP1", "SET1", "SET2", "SET3", "SET4", "SET5"]),
+        n=st.integers(3, 50),
+        kappa=st.floats(2.0, 1e6),
+        seed=st.integers(0, 2**16),
+        # a random multiset: duplicates share a block
+        specs=st.lists(SPECS, min_size=1, max_size=8).flatmap(lambda xs: st.permutations(xs + xs[:2])),
+        eps=st.floats(1e-13, 0.9),
+        iter_cap=st.integers(1, 80),
+        retain=st.booleans(),
+    )
+    def test_rows_equal_solo_runs_on_diagonal_problems(
+        self, family, n, kappa, seed, specs, eps, iter_cap, retain
+    ):
+        p = gen_diag_problem(SpectrumSpec(family, n, kappa, seed))
+        traces = assert_rows_equal_solo_runs(
+            p, np.ones(n), specs, eps=eps, max_iter=iter_cap, retain_gradients=retain
+        )
+        for spec, tr in zip(specs, traces):
+            # finite traces
+            assert np.isfinite(tr.f).all() and np.isfinite(tr.gnorm).all() and np.isfinite(tr.alpha).all()
+            # a termination consistent with the last gnorm
+            converged = tr.gnorm[-1] <= eps * tr.gnorm[0]
+            assert tr.termination == ("gradient_tol" if converged else "iter_cap")
+            assert converged or tr.iterations == iter_cap
+            assert len(tr.gnorm) == tr.iterations + 1
+            if spec.monotone:
+                # rounding of the f recurrence allowed, a few ulps of its terms
+                slack = 1e-12 * (np.abs(tr.f[:-1]) + tr.alpha * tr.gnorm[:-1] ** 2)
+                assert (np.diff(tr.f) <= slack).all(), spec
+
+    def test_dense_problem(self):
+        p = gen_rotated_problem(SpectrumSpec("SET1", 60, 1e3, 6))
+        assert_rows_equal_solo_runs(p, np.ones(60), every_method(), eps=1e-9, max_iter=2000)
+
+    def test_sparse_laplace_problem(self):
+        p, _ = gen_laplace3d(LaplaceSpec("B", 6))
+        assert_rows_equal_solo_runs(p, np.zeros(p.dim), every_method(3, 2), eps=1e-9, max_iter=2000)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_failing_rows_beside_healthy_ones(self):
+        # indefinite: some rows converge to the saddle point, some hit the
+        # cap, some overflow and DY/SDC meet an undefined short step
+        p = QuadraticProblem(np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4))
+        specs = every_method(3, 2) + [StrategySpec("DY"), StrategySpec("BB1")]
+        traces = assert_rows_equal_solo_runs(
+            p, np.ones(4), specs, eps=1e-6, max_iter=3000, retain_gradients=True
+        )
+        terminations = {tr.termination for tr in traces}
+        assert terminations == {"gradient_tol", "iter_cap", "diverged"}
+        failures = {tr.failure.split(" at ")[0] for tr in traces if tr.termination == "diverged"}
+        assert failures == {"nonfinite objective", "stepsize undefined"}
+
+    def test_block_height_comes_from_the_problem_size(self, monkeypatch):
+        # 3 rows of n = 40 fit one block of 2**16 elements; with room for
+        # two rows the third runs in a second block; the traces are the same
+        p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 2))
+        specs = [StrategySpec("BB1"), StrategySpec("NEWS", h=3, s=5), StrategySpec("DY")]
+        whole = run_many(p, np.ones(40), specs, eps=1e-10)
+        monkeypatch.setattr("specgrad.qp_engine.BLOCK_ELEMENTS", 80)
+        for a, b in zip(whole, run_many(p, np.ones(40), specs, eps=1e-10)):
+            assert_same_trace(a, b)
+
+    def test_no_specs(self):
+        assert run_many(QuadraticProblem(np.ones(2)), np.ones(2), []) == []
+
+
+# (Hessian, b, start, strategy, cause named in the failure)
+FAILURES = {
+    "singular": ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], [1.0, 1.0], "SD", "zero curvature g'Ag = 0"),
+    "indefinite_dy": (np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4), np.ones(4), "DY", "yuan_stepsize"),
+    "overflow": ([1e300, 1.0], [1.0, 1.0], [1.0, 1.0], "SD", "nonfinite gradient norm or objective"),
+}
+
+
+class TestNamedFailures:
+    """Numerical failures end ``diverged`` with the trace so far."""
+
+    @pytest.mark.parametrize("case", FAILURES)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_run_raises_with_the_trace(self, case):
+        hessian, b, x1, method, cause = FAILURES[case]
+        p = QuadraticProblem(np.asarray(hessian), b)
+        with pytest.raises(DivergedError, match=cause.replace("'", ".")) as info:
+            run(p, np.asarray(x1), StrategySpec(method), eps=1e-9)
+        trace = info.value.trace
+        assert trace.termination == "diverged"
+        assert len(trace.gnorm) == trace.iterations + 1 == len(trace.alpha) + 1
+        assert trace.iterations == (0 if case != "indefinite_dy" else 2)
+        # x_final is the last recorded iterate
+        assert p.objective(trace.x_final) == pytest.approx(trace.f[-1])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_curvature_for_every_method(self, method):
+        p = QuadraticProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
+        (trace,) = run_many(p, np.ones(2), [StrategySpec(method)])
+        assert (trace.termination, trace.iterations) == ("diverged", 0)
+        assert np.array_equal(trace.x_final, np.ones(2))
+
+
+def test_row_dots_match_vector_dots_at_laplace_size():
+    # a stacked matmul gives each row the 1-D dot, under 1 and 2 BLAS
+    # threads alike (each thread count needs a fresh process)
+    script = (
+        "import numpy as np\n"
+        "from specgrad.qp_engine import _row_dots\n"
+        "rng = np.random.default_rng(3)\n"
+        "a = rng.standard_normal((3, 216000)); b = rng.standard_normal((3, 216000)) * rng.random(216000)\n"
+        "vec = [float(u @ v) for u, v in zip(a, b)]\n"
+        "print(_row_dots(a, b) == vec and [_row_dots(u, v)[0] for u, v in zip(a, b)] == vec)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        cmd = [sys.executable, "-c", script]
+        out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "True", (threads, out.stderr)
+
+
+def test_converged_rows_meet_the_true_residual():
+    # the recurrence gradient stays the true one: ||Ax - b|| / ||g_1|| <= 1.01 eps
+    plan = bench.ExperimentPlan.load(str(Path(__file__).resolve().parent.parent / "plans" / "table1.json"))
+    p, x1, _ = bench._instantiate_quadratic(plan.problems[0], plan.problems[0]["seeds"][0])
+    eps = min(plan.tolerances)
+    traces = run_many(p, x1, [StrategySpec(**s) for s in plan.strategies], eps=eps, max_iter=plan.iter_cap)
+    r1 = np.linalg.norm(p.gradient(x1))
+    assert all(tr.termination == "gradient_tol" for tr in traces)
+    for tr in traces:
+        assert np.linalg.norm(p.gradient(tr.x_final)) / r1 <= 1.01 * eps
