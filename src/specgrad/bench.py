@@ -1,14 +1,15 @@
 """Experiment runner: problem/strategy grids, result tables, performance profiles.
 
 A plan is a JSON document listing problem descriptors (with seed lists),
-strategies, and tolerances. ``run_plan`` executes the full grid serially
-and returns rows in a deterministic key order, so result CSVs are
-byte-identical from run to run on the same BLAS thread count. Each
-quadratic (descriptor, seed) instance is built once, and all of its
-strategies run in one ``qp_engine.run_many`` call, one trajectory each, at
-the smallest tolerance: every tolerance's row is read off that
-trajectory. The reproducible metrics are iteration and
-function-evaluation counts.
+strategies, and tolerances. ``run_plan`` executes the grid one instance
+after another and returns rows in a deterministic key order, so result
+CSVs are byte-identical from run to run. Each quadratic (descriptor,
+seed) instance is built once, and all of its strategies run in one
+``qp_engine.run_many`` call, one trajectory each, at the smallest
+tolerance: every tolerance's row is read off that trajectory. Quadratic
+rows do not depend on the BLAS thread count (see ``qp_engine``); box
+rows may, so pin it when comparing their CSVs across machines. The
+reproducible metrics are iteration and function-evaluation counts.
 """
 
 from __future__ import annotations

@@ -186,17 +186,19 @@ def gen_rotated_equivalent(spec: SpectrumSpec, x1: np.ndarray) -> tuple[Quadrati
 
 
 def _laplace_matrix(N: int) -> sp.csr_matrix:
-    one = np.ones(N)
-    t = sp.diags([-one[:-1], 2.0 * one, -one[:-1]], offsets=(-1, 0, 1), format="csr")
-    eye = sp.identity(N, format="csr")
-    a = (
-        sp.kron(sp.kron(eye, eye, format="csr"), t, format="csr")
-        + sp.kron(sp.kron(eye, t, format="csr"), eye, format="csr")
-        + sp.kron(sp.kron(t, eye, format="csr"), eye, format="csr")
-    ).tocsr()
-    a.eliminate_zeros()
-    a.sum_duplicates()
-    return a
+    """The 7-point stencil matrix (6 on the diagonal, -1 per grid
+    neighbour) of index (k*N + j)*N + i, as CSR arrays built directly,
+    columns ascending in every row."""
+    n = N**3
+    r = np.arange(n, dtype=np.int32)
+    i, j, k = r % N, r // N % N, r // (N * N)
+    offsets = np.array([-N * N, -N, -1, 0, 1, N, N * N], dtype=np.int32)
+    inside = np.stack([k > 0, j > 0, i > 0, np.ones(n, dtype=bool), i < N - 1, j < N - 1, k < N - 1], axis=1)
+    indices = (r[:, None] + offsets)[inside]
+    data = np.broadcast_to(np.where(offsets == 0, 6.0, -1.0), inside.shape)[inside]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def gen_laplace3d(spec: LaplaceSpec) -> tuple[QuadraticProblem, np.ndarray]:

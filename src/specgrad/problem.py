@@ -33,13 +33,16 @@ class QuadraticProblem:
 
     Nonfinite Hessian or ``b`` entries raise ``ValueError``.
 
-    The stored problem is immutable; solvers share instances freely.
+    The stored problem is immutable; solvers share instances freely. A
+    float64 CSR Hessian is kept as given, not copied, so that problems
+    differing only in ``b`` share one matrix: the caller must not mutate
+    it afterwards. Dense and diagonal Hessians are copied.
     """
 
     def __init__(self, hessian, b=None):
         if sp.issparse(hessian):
             self.kind = "sparse"
-            self._h = hessian.tocsr().astype(np.float64)
+            self._h = hessian.tocsr().astype(np.float64, copy=False)
             n = self._h.shape[0]
             if self._h.shape[0] != self._h.shape[1]:
                 raise ValueError("sparse Hessian must be square")

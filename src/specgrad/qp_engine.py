@@ -13,7 +13,8 @@ A row's trace is bitwise equal to its strategy run alone, because every
 row takes the same floating-point operations as a lone vector:
 - each row's inner products go through the BLAS dot that a 1-D
   ``a @ b`` calls (a stacked ``matmul`` of (1, n) by (n, 1) slices takes
-  numpy's vector-dot path);
+  numpy's vector-dot path); vectors longer than ``DOT_CHUNK`` are dotted
+  chunk by chunk (see ``_dot``);
 - the block updates and a diagonal Hessian product act per element,
   and a dense or sparse Hessian product is taken one row at a time,
   since a (B, n) @ A' product sums in another order;
@@ -29,12 +30,25 @@ evaluate mod(k, h+s) on that index directly. Where a short rule is
 undefined (the spectral quotient one step back at k = 2) the strategy
 takes its long-phase stepsize and the trace labels the iteration
 ``fallback``.
+
+Concurrency: when a problem is large enough that every block is one row
+(n > BLOCK_ELEMENTS // 2), the calling thread and min(cores, blocks) - 1
+worker threads take the blocks from one shared queue. Such a row's time
+goes mostly to the Hessian product and the vector updates, native code
+that releases the interpreter lock. Blocks of several rows run one after
+another on the calling thread, because their per-row rule arithmetic
+holds the lock. Each row performs the same operations wherever it runs,
+and no dot product is long enough for the BLAS to split it across its
+own threads, so a trace depends on neither the worker threads nor the
+BLAS thread count.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -60,6 +74,12 @@ __all__ = [
 # and one row, a plain vector, from n = 32769 on, so a large problem's
 # memory and work per iteration are those of a single run.
 BLOCK_ELEMENTS = 2**16
+
+# Inner products of longer vectors are summed chunk by chunk, left to
+# right. A BLAS dot of at most this many elements runs on one thread
+# (OpenBLAS splits a dot only above about 10^4 elements), so the chunked
+# sum is the same under any BLAS thread count.
+DOT_CHUNK = 8192
 
 
 class DivergedError(RuntimeError):
@@ -354,14 +374,70 @@ def _bar_alpha_cached(c: _Row, cross_gg: float, cross_wg: float) -> float | None
     return dd / dad
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a'b for two vectors as a Python float: ``a.dot(b)`` up to
+    ``DOT_CHUNK`` elements; beyond that the sum, left to right, of the
+    dots of consecutive ``DOT_CHUNK``-element chunks (the rows of one
+    stacked ``matmul``) and of the shorter tail, so the result does not
+    depend on the BLAS thread count."""
+    n = a.shape[0]
+    if n <= DOT_CHUNK:
+        return float(a.dot(b))
+    m = n - n % DOT_CHUNK
+    parts = np.matmul(a[:m].reshape(-1, 1, DOT_CHUNK), b[:m].reshape(-1, DOT_CHUNK, 1)).ravel().tolist()
+    if m < n:
+        parts.append(float(a[m:].dot(b[m:])))
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
-    """a_i'b_i for every row i of two (B, n) blocks, as Python floats; each
-    is the BLAS dot that a 1-D ``a_i @ b_i`` calls. A one-row block is a
-    vector, and ``ndarray.dot`` reaches that dot about 1 us sooner than a
-    stacked matmul or a 1-D ``@``."""
+    """``_dot`` of every row pair of two (B, n) blocks, as Python floats; a
+    one-row block is a vector. Up to ``DOT_CHUNK`` elements a block takes
+    one stacked ``matmul``, whose rows are the BLAS dot of a 1-D
+    ``a_i @ b_i``."""
     if a.ndim == 1:
-        return [float(a.dot(b))]
+        return [_dot(a, b)]
+    if a.shape[1] > DOT_CHUNK:
+        return [_dot(u, v) for u, v in zip(a, b)]
     return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
+
+
+def _drain(tasks: list, work: Callable) -> None:
+    """Call ``work`` on every task: the calling thread and
+    min(cores, tasks) - 1 worker threads take them from one queue. The
+    caller takes a share, so a worker's allocations stay few. After the
+    join the first exception any of them raised is re-raised here, and no
+    task is started after it."""
+    pending = deque(tasks)
+    errors = []
+
+    def take_tasks():
+        while True:
+            try:
+                task = pending.popleft()
+            except IndexError:
+                return
+            try:
+                work(task)
+            except Exception as exc:
+                errors.append(exc)
+                pending.clear()
+
+    cores = len(os.sched_getaffinity(0))
+    workers = [threading.Thread(target=take_tasks) for _ in range(min(cores, len(tasks)) - 1)]
+    for worker in workers:
+        worker.start()
+    try:
+        take_tasks()
+    finally:
+        pending.clear()  # an interrupted caller lets the workers finish early
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
 
 
 def run_many(
@@ -377,9 +453,10 @@ def run_many(
     Each strategy iterates until ||g_k|| <= eps * ||g_1|| or its step
     count hits max_iter. The strategies advance in lockstep blocks of at
     most max(1, BLOCK_ELEMENTS // n) rows, and a row that stops leaves its
-    block. Every trace is bitwise equal to that strategy run alone, on the
-    same BLAS thread count, whatever the other rows are. The path does not
-    depend on ``eps``, which only decides where it stops.
+    block. One-row blocks run concurrently (see the module docstring).
+    Every trace is bitwise equal to that strategy run alone, whatever the
+    other rows are, and the same under any BLAS thread count. The path
+    does not depend on ``eps``, which only decides where it stops.
 
     A row that fails numerically ends ``diverged`` with its trace up to
     the last finite iterate and the cause in ``failure``, and the other
@@ -394,8 +471,8 @@ def run_many(
         raise ValueError(f"x1 has shape {x.shape}, expected ({p.dim},)")
 
     g = p.gradient(x)
-    gnorm1 = float(np.linalg.norm(g))
-    f1 = 0.5 * float(x @ g) - 0.5 * float(p.b @ x)
+    gnorm1 = math.sqrt(_dot(g, g))
+    f1 = 0.5 * _dot(x, g) - 0.5 * _dot(p.b, x)
     tol = eps * gnorm1
     failure = None
     if not (math.isfinite(gnorm1) and math.isfinite(f1)):
@@ -412,14 +489,23 @@ def run_many(
         else:
             rows.append(_Row(spec, f1, trace, grads, out))
     height = max(1, BLOCK_ELEMENTS // p.dim)
-    for i in range(0, len(rows), height):
-        _run_block(p, x, g, rows[i : i + height], tol, max_iter, traces)
+    blocks = [rows[i : i + height] for i in range(0, len(rows), height)]
+
+    def run_block(live):
+        _run_block(p, x, g, live, tol, max_iter, traces)
+
+    if height == 1:
+        _drain(blocks, run_block)
+    else:
+        for live in blocks:
+            run_block(live)
     return traces
 
 
 def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     """Run the rows ``live`` from iterate 1 = (x, g) until each has
-    stopped, storing their traces; rows leave the block as they stop."""
+    stopped, storing their traces; rows leave the block as they stop.
+    ``x`` and ``g`` are shared between blocks and never written."""
     n = p.dim
     one = len(live) == 1
     if one:
@@ -512,7 +598,7 @@ def run(
 
     Iterates until ||g_k|| <= eps * ||g_1|| or the step count hits
     max_iter. Same problem, start, and spec give a bitwise-identical trace
-    on the same BLAS thread count. A run that ends ``diverged`` raises
+    under any BLAS thread count. A run that ends ``diverged`` raises
     ``DivergedError`` carrying its trace up to the last finite iterate.
     """
     trace = run_many(p, x1, [spec], eps, max_iter, retain_gradients)[0]

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from specgrad.generators import (
     LaplaceSpec,
     SpectrumSpec,
     _draw_reflectors,
     _draw_spectrum,
+    _laplace_matrix,
     gen_diag_problem,
     gen_laplace3d,
     gen_rotated_equivalent,
@@ -161,6 +163,26 @@ class TestLaplace:
         assert (a != a.T).nnz == 0
         sums = np.asarray(a.sum(axis=1)).ravel()
         assert np.all(sums >= 0.0) and np.all(sums <= 6.0)
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_matrix_equals_kron_sum(self, N):
+        # reference: the sum of the 1-D second-difference matrix along
+        # each axis, x fastest
+        one = np.ones(N)
+        t = sp.diags([-one[:-1], 2.0 * one, -one[:-1]], offsets=(-1, 0, 1), format="csr")
+        eye = sp.identity(N, format="csr")
+        ref = (
+            sp.kron(sp.kron(eye, eye, format="csr"), t, format="csr")
+            + sp.kron(sp.kron(eye, t, format="csr"), eye, format="csr")
+            + sp.kron(sp.kron(t, eye, format="csr"), eye, format="csr")
+        ).tocsr()
+        ref.eliminate_zeros()
+        ref.sum_duplicates()
+        a = _laplace_matrix(N)
+        assert a.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(a, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
 
     def test_known_solution(self):
         p, x_star = gen_laplace3d(LaplaceSpec("B", 4))

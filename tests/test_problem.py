@@ -62,6 +62,24 @@ class TestHessianApply:
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
             assert abs(u @ p.apply(v) - v @ p.apply(u)) <= 1e-12 * abs(u @ p.apply(v) + 1e-300)
 
+    def test_csr_float64_hessian_is_shared(self):
+        a = sp.diags([2.0, 3.0, 4.0]).tocsr()
+        p = QuadraticProblem(a, np.ones(3))
+        assert p.hessian is a
+        assert QuadraticProblem(a, np.zeros(3)).hessian is p.hessian
+        assert np.shares_memory(p.hessian.data, a.data)
+
+    def test_other_sparse_hessians_are_converted(self):
+        a = sp.diags([2.0, 3.0, 4.0], dtype=np.float32).tocsr()
+        p = QuadraticProblem(a)
+        assert p.hessian.dtype == np.float64 and not np.shares_memory(p.hessian.data, a.data)
+        assert p.hessian.format == "csr" and QuadraticProblem(a.tocoo()).hessian.format == "csr"
+
+    def test_dense_and_diagonal_hessians_are_copied(self):
+        for h in (np.array([1.0, 2.0]), np.array([[2.0, 1.0], [1.0, 2.0]])):
+            p = QuadraticProblem(h)
+            assert np.array_equal(p.hessian, h) and not np.shares_memory(p.hessian, h)
+
     def test_diag_positivity_enforced(self):
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0, 0.0]))

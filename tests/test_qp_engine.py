@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from collections import deque
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgrad import bench
+from specgrad import bench, qp_engine
 from specgrad.generators import (
     LaplaceSpec,
     SpectrumSpec,
@@ -19,10 +20,14 @@ from specgrad.generators import (
 )
 from specgrad.problem import QuadraticProblem
 from specgrad.qp_engine import (
+    BLOCK_ELEMENTS,
+    DOT_CHUNK,
     METHODS,
     DivergedError,
     RunTrace,
     StrategySpec,
+    _dot,
+    _row_dots,
     run,
     run_many,
     stepsize_history_diagnostic,
@@ -480,24 +485,166 @@ class TestNamedFailures:
         assert np.array_equal(trace.x_final, np.ones(2))
 
 
-def test_row_dots_match_vector_dots_at_laplace_size():
-    # a stacked matmul gives each row the 1-D dot, under 1 and 2 BLAS
-    # threads alike (each thread count needs a fresh process)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_in_subprocess(script, threads):
+    """Standard output of ``script`` in a fresh interpreter whose OpenBLAS
+    runs ``threads`` threads (the count is fixed when numpy loads)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, (threads, out.stderr)
+    return out.stdout
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, DOT_CHUNK])
+def test_dot_is_the_vector_dot_up_to_a_chunk(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, 5, n))
+    assert _dot(a[0], b[0]) == float(a[0].dot(b[0]))
+    assert _row_dots(a[0], b[0]) == [float(a[0].dot(b[0]))]
+    assert _row_dots(a, b) == [float(u @ v) for u, v in zip(a, b)]
+
+
+@pytest.mark.parametrize("n", [DOT_CHUNK + 1, 3 * DOT_CHUNK, 20000])
+def test_long_dots_sum_their_chunks_left_to_right(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.standard_normal((2, 4, n))
+    for u, v, got in zip(a, b, _row_dots(a, b)):
+        parts = [float(u[i : i + DOT_CHUNK] @ v[i : i + DOT_CHUNK]) for i in range(0, n, DOT_CHUNK)]
+        total = parts[0]
+        for part in parts[1:]:
+            total += part
+        assert _dot(u, v) == got == total
+
+
+def test_dots_are_thread_independent_at_laplace_size():
+    # _dot, a one-row _row_dots and a block's _row_dots agree bitwise, and
+    # their bits are the same under 1 and 2 BLAS threads
     script = (
         "import numpy as np\n"
-        "from specgrad.qp_engine import _row_dots\n"
+        "from specgrad.qp_engine import _dot, _row_dots\n"
         "rng = np.random.default_rng(3)\n"
         "a = rng.standard_normal((3, 216000)); b = rng.standard_normal((3, 216000)) * rng.random(216000)\n"
-        "vec = [float(u @ v) for u, v in zip(a, b)]\n"
-        "print(_row_dots(a, b) == vec and [_row_dots(u, v)[0] for u, v in zip(a, b)] == vec)\n"
+        "vec = [_dot(u, v) for u, v in zip(a, b)]\n"
+        "assert _row_dots(a, b) == vec and [_row_dots(u, v)[0] for u, v in zip(a, b)] == vec\n"
+        "print([x.hex() for x in vec])\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        cmd = [sys.executable, "-c", script]
-        out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
-        assert out.stdout.strip() == "True", (threads, out.stderr)
+    one, two = (run_in_subprocess(script, threads) for threads in ("1", "2"))
+    assert one == two and one.count("0x") == 3
+
+
+@pytest.fixture(scope="module")
+def laplace_b33():
+    # n = 35,937: every block is one row
+    p, _ = gen_laplace3d(LaplaceSpec("B", 33))
+    assert BLOCK_ELEMENTS // p.dim == 1
+    return p
+
+
+class TestConcurrentBlocks:
+    """One-row blocks run on several threads; every row is its solo run."""
+
+    def test_rows_equal_solo_runs_with_retention(self, laplace_b33):
+        # a short cap keeps the retained gradients small
+        x1 = np.zeros(laplace_b33.dim)
+        assert_rows_equal_solo_runs(laplace_b33, x1, every_method(3, 2), eps=1e-9, max_iter=12, retain_gradients=True)
+
+    def test_rows_equal_solo_runs(self, laplace_b33):
+        x1 = np.zeros(laplace_b33.dim)
+        traces = assert_rows_equal_solo_runs(laplace_b33, x1, every_method(3, 2), eps=1e-3, max_iter=300)
+        assert {tr.termination for tr in traces} == {"gradient_tol"}
+
+    def test_more_threads_than_cores(self, laplace_b33, monkeypatch):
+        # eight threads switching every microsecond over 16 rows
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        specs = every_method(3, 2) + [StrategySpec("NEWS", h=5, s=7), StrategySpec("DY"), StrategySpec("BB1")]
+        x1 = np.zeros(laplace_b33.dim)
+        solos = [solo(laplace_b33, x1, spec, eps=1e-9, max_iter=40) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            traces = run_many(laplace_b33, x1, specs, eps=1e-9, max_iter=40)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(traces, solos):
+            assert_same_trace(a, b)
+
+    def test_shared_start_is_not_written(self, laplace_b33, monkeypatch):
+        seen = []
+        run_block = qp_engine._run_block
+
+        def recording(p, x, g, *args):
+            seen.append((x, x.copy(), g, g.copy()))
+            run_block(p, x, g, *args)
+
+        monkeypatch.setattr(qp_engine, "_run_block", recording)
+        run_many(laplace_b33, np.ones(laplace_b33.dim), every_method(3, 2), eps=1e-9, max_iter=30)
+        assert len(seen) == len(METHODS)
+        for x, x_before, g, g_before in seen:
+            assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # the caller and the worker each hold a block; the worker raises
+        # once the caller holds its block, and the third is never started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        p = QuadraticProblem(np.ones(5))
+        monkeypatch.setattr(qp_engine, "BLOCK_ELEMENTS", 5)
+        holding, raised, started = threading.Event(), threading.Event(), []
+
+        def failing(p, x, g, live, *args):
+            started.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                holding.set()
+                assert raised.wait(timeout=60)
+            else:
+                assert holding.wait(timeout=60)
+                raised.set()
+                raise FloatingPointError("in a worker")
+
+        monkeypatch.setattr(qp_engine, "_run_block", failing)
+        with pytest.raises(FloatingPointError, match="in a worker"):
+            run_many(p, np.ones(5), [StrategySpec("SD"), StrategySpec("BB1"), StrategySpec("DY")])
+        assert len(started) == 2
+        (worker,) = set(started) - {threading.main_thread()}
+        assert not worker.is_alive()
+
+    def test_multi_row_blocks_stay_on_the_caller(self, monkeypatch):
+        # n = 40 with room for two rows: two blocks, both run by the caller
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        monkeypatch.setattr(qp_engine, "BLOCK_ELEMENTS", 80)
+        threads = []
+        run_block = qp_engine._run_block
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            run_block(*args)
+
+        monkeypatch.setattr(qp_engine, "_run_block", recording)
+        p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 2))
+        run_many(p, np.ones(40), [StrategySpec("BB1"), StrategySpec("NEWS", h=3, s=5), StrategySpec("DY")])
+        assert threads == [threading.main_thread()] * 2
+
+    def test_traces_are_thread_independent(self):
+        # all 13 methods on the one-row Laplacian; digest of every field
+        # under 1 and 2 BLAS threads
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from specgrad.generators import LaplaceSpec, gen_laplace3d\n"
+            "from specgrad.qp_engine import METHODS, StrategySpec, run_many\n"
+            "p, _ = gen_laplace3d(LaplaceSpec('B', 33))\n"
+            "specs = [StrategySpec(m, h=3, s=2) for m in METHODS]\n"
+            "digest = hashlib.sha256()\n"
+            "for tr in run_many(p, np.zeros(p.dim), specs, eps=1e-6, max_iter=150):\n"
+            "    for a in (tr.f, tr.gnorm, tr.alpha, tr.x_final):\n"
+            "        digest.update(a.tobytes())\n"
+            "    digest.update(repr((tr.branch, tr.termination)).encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        one, two = (run_in_subprocess(script, threads) for threads in ("1", "2"))
+        assert one == two and len(one.strip()) == 64
 
 
 def test_converged_rows_meet_the_true_residual():
