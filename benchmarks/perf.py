@@ -10,15 +10,18 @@ directory. For every workload the script runs ``--pairs`` pairs of
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0``, each run
 in a fresh process from its own tree; odd pairs (1, 3, ...) run the
 parent first and even pairs the change first, so a drift of the host
-clock falls on both sides alike. Both sides run their own copy of
-``perfbench/``, so the two trees must hold the same benchmark.
+clock falls on both sides alike. After the pairs, each side runs once more
+with ``--trace 1`` for the per-layer metrics. Both sides run their own copy
+of ``perfbench/``, so the two trees must hold the same benchmark.
 
 Per end-to-end metric the record holds each side's runs (in pair order),
 median and quartiles, the pairs the change won (ties count for neither),
 the change/parent ratio of the medians and the parent's interquartile
-range; per workload it holds both sides' ``fail_frac`` per run. The
-provenance (core count, numpy, scipy and OpenBLAS versions, the BLAS
-thread count) comes from perfbench's own provenance line.
+range; per workload it holds both sides' ``fail_frac`` per run and, under
+``per_layer``, each per-layer metric of BENCHMARK.json from one traced run
+of each side, with the change/parent ratio. The provenance (core count,
+numpy, scipy and OpenBLAS versions, the BLAS thread count) comes from
+perfbench's own provenance line.
 """
 
 from __future__ import annotations
@@ -74,10 +77,11 @@ def materialize(spec: str, scratch: Path) -> tuple[Path, str]:
     return tree, commit
 
 
-def run_once(tree: Path, workload: str, args) -> dict:
+def run_once(tree: Path, workload: str, args, trace: int = 0) -> dict:
     """One perfbench run: its result line plus its provenance line."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload]
-    cmd += ["--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"] + ["--smoke"] * args.smoke
+    cmd += ["--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
+    cmd += ["--smoke"] * args.smoke
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=20 * args.seconds + 600)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -103,6 +107,18 @@ def summarize_metric(spec: dict, parent: list[float], change: list[float]) -> di
     out["change_wins"] = f"{wins}/{len(parent)}"
     out["median_change_over_parent"] = round(out["change"]["median"] / out["parent"]["median"], 4)
     out["parent_iqr"] = round(out["parent"]["q3"] - out["parent"]["q1"], 4)
+    return out
+
+
+def per_layer(specs: list[dict], traced: dict) -> dict:
+    """Each per-layer metric of the one traced run per side (None where a
+    side does not report it), with the change/parent ratio."""
+    out = {}
+    for spec in specs:
+        p, c = (traced[side]["metrics"].get(spec["name"], {}).get("value") for side in ("parent", "change"))
+        ratio = round(c / p, 4) if p and c is not None else None
+        out[spec["name"]] = {"unit": spec["unit"], "better": spec["better"], "parent": p, "change": c,
+                             "change_over_parent": ratio}
     return out
 
 
@@ -134,7 +150,7 @@ def main(argv=None) -> int:
             "parent": trees["parent"][1],
             "change_tree": trees["change"][1],
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
-            "--trace 0" + " --smoke" * args.smoke,
+            "--trace 0" + " --smoke" * args.smoke + " (per_layer: one run per side with --trace 1)",
             "method": "alternating parent/change pairs (odd pairs parent first), each run in a fresh process "
             "from its own tree; every value is one run's perfbench metric (wall_s is the mean over that run's "
             "grid repetitions); runs are listed in pair order, medians and quartiles (inclusive) are over runs",
@@ -148,6 +164,7 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(trees[side][0], workload, args))
                     wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i + 1}/{args.pairs} {side} wall_s={wall:.4f}", file=sys.stderr)
+            traced = {side: run_once(trees[side][0], workload, args, trace=1) for side in runs}
             first = runs["parent"][0]["provenance"]
             record.setdefault("provenance", provenance(first))
             record.setdefault("commits", {
@@ -164,6 +181,8 @@ def main(argv=None) -> int:
                     )
                     for m in metrics
                 },
+                "traced_correct": {side: traced[side]["correct"] for side in traced},
+                "per_layer": per_layer(spec.get("per_layer", []), traced),
             }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -1,4 +1,5 @@
-"""Smoke test of the BENCH writer: one shrunken pair of one workload."""
+"""Smoke test of the BENCH writer: one shrunken pair of one workload, plus
+one traced run per side for the per-layer metrics."""
 
 import json
 import subprocess
@@ -29,3 +30,12 @@ def test_one_smoke_pair_writes_the_record(tmp_path):
         assert keys <= set(metric)
         for side in ("parent", "change"):
             assert set(metric[side]) == {"median", "q1", "q3", "runs"} and len(metric[side]["runs"]) == 1
+    assert workload["traced_correct"] == {"parent": True, "change": True}
+    layers = workload["per_layer"]
+    assert set(layers) == {m["name"] for m in spec["per_layer"]}
+    for layer in layers.values():
+        assert {"unit", "better", "parent", "change", "change_over_parent"} <= set(layer)
+        assert isinstance(layer["parent"], float) and isinstance(layer["change"], float)
+    # both sides run the same tree: the counts agree
+    assert all(layer["parent"] == layer["change"] for layer in layers.values() if layer["unit"] == "count")
+    assert layers["problem.apply.calls"]["parent"] > 0

@@ -117,28 +117,29 @@ def nonmonotone_search(
     oracle: ObjectiveOracle,
     x: np.ndarray,
     d: np.ndarray,
-    g: np.ndarray,
+    gd: float,
     ls: LineSearchState,
-) -> tuple[float, float, bool]:
-    """Step length along d: unit step against f_r, else backtrack against
-    min(f_max, f_r).
+) -> tuple[float, float, bool, np.ndarray]:
+    """Step length along d, given the slope gd = g'd: unit step against
+    f_r, else backtrack against min(f_max, f_r).
 
     Returns (lambda, f at the accepted point, whether the unit step was
-    accepted).
+    accepted, the accepted point x + lambda d).
     """
-    gd = float(g @ d)
     if gd >= 0.0:
         raise ValueError("not a descent direction: g'd >= 0")
-    f_trial = oracle.f(x + d)
+    x_trial = x + d
+    f_trial = oracle.f(x_trial)
     if f_trial <= ls.f_r + ls.sigma * gd:
-        return 1.0, f_trial, True
+        return 1.0, f_trial, True, x_trial
     bound = min(ls.f_max, ls.f_r)
     lam = 1.0
     for _ in range(MAX_BACKTRACKS):
         lam *= BACKTRACK_FACTOR
-        f_trial = oracle.f(x + lam * d)
+        x_trial = x + lam * d
+        f_trial = oracle.f(x_trial)
         if f_trial <= bound + ls.sigma * lam * gd:
-            return lam, f_trial, False
+            return lam, f_trial, False, x_trial
     raise LineSearchError(f"no acceptable step after {MAX_BACKTRACKS} backtracks")
 
 
@@ -171,7 +172,7 @@ class BoxRunConfig:
 
 
 def _pg_norm(x: np.ndarray, g: np.ndarray, bounds: BoxBounds) -> float:
-    return float(np.max(np.abs(bounds.project(x - g) - x))) if x.size else 0.0
+    return float(abs(bounds.project(x - g) - x).max()) if x.size else 0.0
 
 
 def _safeguard(alpha: float, cfg: BoxRunConfig) -> float:
@@ -217,7 +218,7 @@ def solve_box(
     fx = oracle.f(x)
     if not math.isfinite(fx):
         raise DivergedError("nonfinite objective at the starting point")
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(g.dot(g))
     pg = _pg_norm(x, g, bounds)
 
     trace = TraceRecorder(fx, gnorm, cfg.eps_pg, cfg.max_iter, pg=pg)
@@ -232,34 +233,34 @@ def solve_box(
     done = trace.stop(pg)
     while not done:
         d = direction(x, g, alpha, bounds)
-        gd = float(g @ d)
+        gd = float(g.dot(d))
         if gd >= 0.0 and not spg:
             # alpha so small the arc collapsed numerically; retry once at 1/||g||
             alpha = _initial_alpha(gnorm, cfg)
             d = direction(x, g, alpha, bounds)
-            gd = float(g @ d)
+            gd = float(g.dot(d))
         if gd >= 0.0:
             raise LineSearchError("projection arc yields no descent direction")
 
-        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma}
-        lam, f_new, unit = nonmonotone_search(oracle, x, d, g, ls)
+        lam, f_new, unit, x_new = nonmonotone_search(oracle, x, d, gd, ls)
         if not math.isfinite(f_new):
             raise DivergedError(f"nonfinite objective at iteration {k}")
-        rec.update({"lam": lam, "f_new": f_new, "unit": unit})
+        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma,
+               "lam": lam, "f_new": f_new, "unit": unit}
         records.append(rec)
 
-        x_new = x + lam * d
         g_new = oracle.grad(x_new)
         s = x_new - x
-        sty = float(s @ (g_new - g))
         if spg:
-            gnorm = float(np.linalg.norm(g_new))
+            sty = float(s.dot(g_new - g))
+            gnorm = math.sqrt(g_new.dot(g_new))
             if sty > 0.0:
-                alpha, label = _safeguard(float(s @ s) / sty, cfg), "bb"
+                alpha, label = _safeguard(float(s.dot(s)) / sty, cfg), "bb"
             else:
                 alpha, label = cfg.alpha_max, "sy_nonpos"
         else:
             mem.push(g_new, s, alpha_used=alpha)
+            sty = float(s.dot(mem.y_prev))
             gnorm = mem.gnorm_cur
             short = k % (cfg.h + cfg.s) >= cfg.h
             spectral = None

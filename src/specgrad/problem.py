@@ -18,6 +18,8 @@ import scipy.sparse as sp
 
 __all__ = ["QuadraticProblem", "BoxBounds", "ObjectiveOracle"]
 
+_F64 = np.dtype(np.float64)
+
 
 class QuadraticProblem:
     """Strictly convex quadratic objective 0.5*x'Ax - b'x.
@@ -93,11 +95,12 @@ class QuadraticProblem:
         Each row's product is bitwise the product of that row alone: a
         diagonal Hessian multiplies per element, and a dense or sparse one
         takes one product per row, because a (B, n) @ A' product sums in
-        another order.
+        another order. A float64 vector of length n is used as given.
         """
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},) or (B, {self.dim})")
+        if type(v) is not np.ndarray or v.dtype is not _F64 or v.shape != (self.dim,):
+            v = np.asarray(v, dtype=np.float64)
+            if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
+                raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},) or (B, {self.dim})")
         if self.kind == "diag":
             return self._h * v
         if v.ndim == 2:
@@ -110,7 +113,7 @@ class QuadraticProblem:
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
-        return 0.5 * float(x @ self.apply(x)) - float(self.b @ x)
+        return 0.5 * float(x.dot(self.apply(x))) - float(self.b.dot(x))
 
     def solution(self) -> np.ndarray:
         """Exact minimizer A^{-1} b (test oracle; dense solve for sparse kinds)."""
@@ -226,7 +229,7 @@ class BoxBounds:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection: componentwise clamp onto [l, u]."""
-        return np.clip(np.asarray(x, dtype=np.float64), self.lower, self.upper)
+        return np.asarray(x, dtype=np.float64).clip(self.lower, self.upper)
 
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))

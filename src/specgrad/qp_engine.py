@@ -85,8 +85,10 @@ DOT_CHUNK = 8192
 class DivergedError(RuntimeError):
     """The run failed numerically (see ``run_many`` for the causes).
 
-    ``trace`` is the run recorded up to the last finite iterate
-    (termination ``diverged``) where the raiser keeps one, else None.
+    ``trace`` is the run recorded up to the last iterate with a finite
+    objective (termination ``diverged``) where the raiser keeps one, else
+    None. Only f is kept finite: ||g|| at that iterate may already be inf
+    (ROADMAP item 5).
     """
 
     def __init__(self, message: str, trace: "RunTrace | None" = None):
@@ -459,10 +461,12 @@ def run_many(
     does not depend on ``eps``, which only decides where it stops.
 
     A row that fails numerically ends ``diverged`` with its trace up to
-    the last finite iterate and the cause in ``failure``, and the other
-    rows run on. The causes are a nonfinite ||g_1|| or f_1 at the start,
-    a step to a nonfinite objective, zero curvature g'Ag = 0, and an
-    undefined two-point (DY, SDC) short step.
+    the last iterate whose objective is finite and the cause in
+    ``failure``, and the other rows run on. Only f is kept finite: ||g||
+    at that iterate may already be inf (ROADMAP item 5). The causes are a
+    nonfinite ||g_1|| or f_1 at the start, a step to a nonfinite
+    objective, zero curvature g'Ag = 0, and an undefined two-point (DY,
+    SDC) short step.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -599,7 +603,8 @@ def run(
     Iterates until ||g_k|| <= eps * ||g_1|| or the step count hits
     max_iter. Same problem, start, and spec give a bitwise-identical trace
     under any BLAS thread count. A run that ends ``diverged`` raises
-    ``DivergedError`` carrying its trace up to the last finite iterate.
+    ``DivergedError`` carrying its trace up to the last iterate with a
+    finite objective.
     """
     trace = run_many(p, x1, [spec], eps, max_iter, retain_gradients)[0]
     if trace.termination == "diverged":

@@ -46,10 +46,10 @@ class StepsizeMemory:
     ``push`` advances the memory by one iterate. With the newest gradient
     g_k stored in ``g_cur``, the fields hold: the previous gradient and
     the step/gradient differences s_{k-1}, y_{k-1}, the masked difference
-    ybar_{k-1}, the last two stepsizes actually taken, gradient norms at
-    k, k-1, k-2, and the masked-difference BB pair for the two most
-    recent (s, y) records. A memory instance belongs to exactly one
-    solver run.
+    ybar_{k-1}, their squared norms s's and ybar'ybar, the last two
+    stepsizes actually taken, gradient norms at k, k-1, k-2, and the
+    masked-difference BB pair for the two most recent (s, y) records. A
+    memory instance belongs to exactly one solver run.
     """
 
     g_prev: np.ndarray | None = None
@@ -57,6 +57,8 @@ class StepsizeMemory:
     s_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
     ybar_prev: np.ndarray | None = None
+    ss_prev: float | None = None
+    ybar_sq_prev: float | None = None
     alpha_prev: float | None = None
     alpha_prev2: float | None = None
     gnorm_cur: float | None = None
@@ -84,7 +86,7 @@ class StepsizeMemory:
     def start(self, g1: np.ndarray) -> None:
         """Record the first gradient; memory stays cold until the next push."""
         self.g_cur = np.asarray(g1, dtype=np.float64)
-        self.gnorm_cur = float(np.linalg.norm(self.g_cur))
+        self.gnorm_cur = math.sqrt(self.g_cur.dot(self.g_cur))
 
     def push(self, g_new: np.ndarray, s_new: np.ndarray, alpha_used: float) -> None:
         """Advance by one iterate: shift the window and ingest g_k, s_{k-1}.
@@ -105,14 +107,15 @@ class StepsizeMemory:
         self.barbb2_prev = self.barbb2_cur
 
         self.g_cur = g_new
-        self.gnorm_cur = float(np.linalg.norm(g_new))
+        self.gnorm_cur = math.sqrt(g_new.dot(g_new))
         self.s_prev = s_new
         self.y_prev = g_new - self.g_prev
-        self.ybar_prev = modified_y(s_new, self.y_prev)
+        self.ybar_prev = ybar = modified_y(s_new, self.y_prev)
 
-        sty = float(self.s_prev @ self.ybar_prev)
-        yty = float(self.ybar_prev @ self.ybar_prev)
-        self.barbb1_cur = float(self.s_prev @ self.s_prev) / sty if sty != 0.0 else None
+        sty = float(s_new.dot(ybar))
+        self.ss_prev = float(s_new.dot(s_new))
+        self.ybar_sq_prev = yty = float(ybar.dot(ybar))
+        self.barbb1_cur = self.ss_prev / sty if sty != 0.0 else None
         self.barbb2_cur = sty / yty if yty != 0.0 else None
 
 
@@ -226,11 +229,10 @@ def p_stepsize(mem: StepsizeMemory, use_modified_y: bool = False) -> float:
     """
     if not mem.warm:
         raise StepsizeUndefinedError("memory cold: no step recorded")
-    y = mem.ybar_prev if use_modified_y else mem.y_prev
-    yn = float(np.linalg.norm(y))
-    if yn == 0.0:
+    yy = mem.ybar_sq_prev if use_modified_y else float(mem.y_prev.dot(mem.y_prev))
+    if yy == 0.0:
         raise StepsizeUndefinedError("zero gradient difference")
-    return float(np.linalg.norm(mem.s_prev)) / yn
+    return math.sqrt(mem.ss_prev) / math.sqrt(yy)
 
 
 def bar_alpha_general(mem: StepsizeMemory) -> float:

@@ -39,12 +39,14 @@ def rosenbrock_fg(n: int):
     """Generalized Rosenbrock objective and gradient (chained 2-D valleys)."""
 
     def f(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        head = x[:-1]
+        return float((100.0 * (x[1:] - head * head) ** 2 + (1.0 - head) ** 2).sum())
 
     def grad(x):
-        g = np.zeros_like(x)
-        t = x[1:] - x[:-1] ** 2
-        g[:-1] = -400.0 * x[:-1] * t - 2.0 * (1.0 - x[:-1])
+        g = np.zeros(x.shape)
+        head = x[:-1]
+        t = x[1:] - head * head
+        g[:-1] = -400.0 * head * t - 2.0 * (1.0 - head)
         g[1:] += 200.0 * t
         return g
 
@@ -58,15 +60,16 @@ def trigonometric_fg(n: int):
     idx = np.arange(1, n + 1, dtype=np.float64)
 
     def residuals(x):
-        return n - np.sum(np.cos(x)) + idx * (1.0 - np.cos(x)) - np.sin(x)
+        cos, sin = np.cos(x), np.sin(x)
+        return n - cos.sum() + idx * (1.0 - cos) - sin, cos, sin
 
     def f(x):
-        r = residuals(x)
-        return float(r @ r)
+        r = residuals(x)[0]
+        return float(r.dot(r))
 
     def grad(x):
-        r = residuals(x)
-        return 2.0 * (np.sin(x) * np.sum(r) + r * (idx * np.sin(x) - np.cos(x)))
+        r, cos, sin = residuals(x)
+        return 2.0 * (sin * r.sum() + r * (idx * sin - cos))
 
     return f, grad
 

@@ -58,9 +58,10 @@ class TestNonmonotoneSearch:
         d = np.array([-1.0, 0.0])
         g = np.array([1.0, 0.0])
         ls = LineSearchState.fresh(oracle.f(x), M=8, sigma=1e-4)
-        lam, f_new, unit = nonmonotone_search(oracle, x, d, g, ls)
+        lam, f_new, unit, x_new = nonmonotone_search(oracle, x, d, float(g @ d), ls)
         assert lam == 1.0 and unit
         assert f_new == 0.0
+        np.testing.assert_array_equal(x_new, x + d)
 
     def test_backtracks_to_quarter(self):
         oracle = quad_oracle([1.0, 1.0])
@@ -68,24 +69,25 @@ class TestNonmonotoneSearch:
         d = np.array([-4.0, 0.0])
         g = np.array([1.0, 0.0])
         ls = LineSearchState.fresh(oracle.f(x), M=8, sigma=1e-4)
-        lam, f_new, unit = nonmonotone_search(oracle, x, d, g, ls)
+        lam, f_new, unit, x_new = nonmonotone_search(oracle, x, d, float(g @ d), ls)
         # enumeration over 1, 1/2, 1/4, ... : the first accepted length is 1/4
         assert not unit
         assert lam == 0.25
         assert f_new == 0.0
+        np.testing.assert_array_equal(x_new, x + 0.25 * d)
 
     def test_ascent_direction_rejected(self):
         oracle = quad_oracle([1.0])
         ls = LineSearchState.fresh(0.5, M=8, sigma=1e-4)
         with pytest.raises(ValueError):
-            nonmonotone_search(oracle, np.array([1.0]), np.array([1.0]), np.array([1.0]), ls)
+            nonmonotone_search(oracle, np.array([1.0]), np.array([1.0]), 1.0, ls)
 
     def test_failure_after_50_backtracks(self):
         # trial values sit strictly above every acceptance bound
         oracle = ObjectiveOracle(lambda x: 1.0 + 1e-9, lambda x: np.zeros(1))
         ls = LineSearchState.fresh(1.0, M=8, sigma=1e-4)
         with pytest.raises(LineSearchError):
-            nonmonotone_search(oracle, np.zeros(1), np.array([-1.0]), np.array([1.0]), ls)
+            nonmonotone_search(oracle, np.zeros(1), np.array([-1.0]), -1.0, ls)
 
 
 class TestUpdateReference:

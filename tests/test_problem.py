@@ -165,6 +165,16 @@ class TestProjectBox:
             d = np.linalg.norm(x - y)
             assert dp <= d * (1 + 1e-12)
 
+    def test_signed_zeros_follow_np_clip(self):
+        # every x in {-0.0, 0.0} against signed-zero and infinite bounds,
+        # including -0.0 against a 0.0 lower bound, which np.clip maps to 0.0
+        zeros = (-0.0, 0.0)
+        cases = [(x, l, u) for x in zeros for l in zeros + (-np.inf,) for u in zeros + (np.inf,)]
+        x, lo, hi = (np.array(c) for c in zip(*cases))
+        got = BoxBounds(lo, hi).project(x)
+        assert np.array_equal(np.signbit(got), np.signbit(np.clip(x, lo, hi)))
+        assert not np.signbit(BoxBounds([0.0], [np.inf]).project(np.array([-0.0])))[0]
+
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             BoxBounds([1.0], [0.0])
