@@ -16,7 +16,6 @@ from .bench import (
 )
 from .box_solver import (
     BoxRunConfig,
-    LineSearchError,
     LineSearchState,
     direction,
     nonmonotone_search,
@@ -35,7 +34,6 @@ from .generators import (
 from .problem import BoxBounds, ObjectiveOracle, QuadraticProblem
 from .qp_engine import (
     METHODS,
-    DivergedError,
     RunTrace,
     StrategySpec,
     run,

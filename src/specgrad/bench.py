@@ -184,14 +184,7 @@ def _run_one_box(entry, strat: dict, eps: float, iter_cap: int) -> dict:
     params.setdefault("eps_pg", eps)
     params.setdefault("max_iter", iter_cap)
     cfg = box_solver.BoxRunConfig(**params)
-    oracle = entry.oracle_factory()
-    try:
-        trace = box_solver.solve_box(oracle, entry.bounds, entry.x1, cfg)
-        iters, termination, fe = trace.iterations, trace.termination, trace.func_evals
-    except box_solver.LineSearchError:
-        iters, termination, fe = iter_cap, "line_search_failed", oracle.eval_count
-    except qp_engine.DivergedError:
-        iters, termination, fe = iter_cap, "diverged", oracle.eval_count
+    trace = box_solver.solve_box(entry.oracle_factory(), entry.bounds, entry.x1, cfg)
     return {
         "family": entry.name,
         "kappa": "",
@@ -200,9 +193,9 @@ def _run_one_box(entry, strat: dict, eps: float, iter_cap: int) -> dict:
         "h": cfg.h if cfg.variant != "SPG" else "",
         "s": cfg.s if cfg.variant != "SPG" else "",
         "seed": 0,
-        "iters": iters,
-        "func_evals": fe,
-        "termination": termination,
+        "iters": iter_cap if trace.failure else trace.iterations,
+        "func_evals": trace.func_evals,
+        "termination": trace.termination,
     }
 
 

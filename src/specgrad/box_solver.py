@@ -25,24 +25,27 @@ loop and the same search: it takes the safeguarded BB1 stepsize s's/s'y
 instead of the memory-based rules, and pins the reference value to
 f_r = f_max after every accepted step, which turns the search into the
 max-of-last-M Armijo test.
+
+A run that fails is returned, not raised: its trace ends ``diverged`` on
+a nonfinite objective at the start or at an accepted step, and
+``line_search_failed`` when the arc yields no descent direction or the
+search runs out of backtracks, with the cause in ``failure``.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .problem import BoxBounds, ObjectiveOracle
-from .qp_engine import DivergedError, RunTrace, TraceRecorder
+from .qp_engine import RunTrace, TraceRecorder
 from .stepsize import StepsizeMemory, StepsizeUndefinedError, bar_alpha_general, p_stepsize
 
 __all__ = [
     "BOX_VARIANTS",
-    "LineSearchError",
     "LineSearchState",
     "BoxRunConfig",
     "direction",
@@ -55,10 +58,6 @@ BOX_VARIANTS = ("A1", "A1_BB1", "A1_BB2", "SPG")
 
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
-
-
-class LineSearchError(RuntimeError):
-    """Backtracking exhausted or no usable descent direction."""
 
 
 @dataclass
@@ -119,12 +118,13 @@ def nonmonotone_search(
     d: np.ndarray,
     gd: float,
     ls: LineSearchState,
-) -> tuple[float, float, bool, np.ndarray]:
+) -> tuple[float, float, bool, np.ndarray] | None:
     """Step length along d, given the slope gd = g'd: unit step against
     f_r, else backtrack against min(f_max, f_r).
 
     Returns (lambda, f at the accepted point, whether the unit step was
-    accepted, the accepted point x + lambda d).
+    accepted, the accepted point x + lambda d), or None when no step is
+    accepted after ``MAX_BACKTRACKS`` backtracks.
     """
     if gd >= 0.0:
         raise ValueError("not a descent direction: g'd >= 0")
@@ -140,7 +140,7 @@ def nonmonotone_search(
         f_trial = oracle.f(x_trial)
         if f_trial <= bound + ls.sigma * lam * gd:
             return lam, f_trial, False, x_trial
-    raise LineSearchError(f"no acceptable step after {MAX_BACKTRACKS} backtracks")
+    return None
 
 
 @dataclass(frozen=True)
@@ -210,28 +210,43 @@ def solve_box(
     stepsize s's/s'y, or alpha_max when s'y <= 0, and searches with
     f_r = f_max. Stops when the projected gradient sup-norm reaches
     cfg.eps_pg.
+
+    A failed run is returned as its trace up to the last accepted iterate
+    (``x_final``), with the cause in ``failure``: ``diverged`` on a
+    nonfinite objective at the start or at an accepted step,
+    ``line_search_failed`` when the arc yields no descent direction or no
+    step is accepted after ``MAX_BACKTRACKS`` backtracks. The evaluation
+    counts include the failed search.
     """
-    t0 = time.perf_counter()
     spg = cfg.variant == "SPG"
     x = bounds.project(np.asarray(x1, dtype=np.float64))
     g = oracle.grad(x)
     fx = oracle.f(x)
-    if not math.isfinite(fx):
-        raise DivergedError("nonfinite objective at the starting point")
     gnorm = math.sqrt(g.dot(g))
     pg = _pg_norm(x, g, bounds)
-
     trace = TraceRecorder(fx, gnorm, cfg.eps_pg, cfg.max_iter, pg=pg)
+    records: list[dict] = []
+
+    def finish(termination: str | None = None, failure: str | None = None) -> RunTrace:
+        return trace.result(
+            x,
+            termination,
+            func_evals=oracle.eval_count,
+            grad_evals=oracle.grad_count,
+            ls_records=records,
+            failure=failure,
+        )
+
+    if not math.isfinite(fx):
+        return finish("diverged", "nonfinite objective at the starting point")
     ls = LineSearchState.fresh(fx, M=cfg.M, sigma=cfg.sigma)
     mem = StepsizeMemory()
     mem.start(g)
     alpha = _initial_alpha(pg if spg else gnorm, cfg)
-    records: list[dict] = []
     prev_spectral: float | None = None
 
     k = 1
-    done = trace.stop(pg)
-    while not done:
+    while not trace.stop(pg):
         d = direction(x, g, alpha, bounds)
         gd = float(g.dot(d))
         if gd >= 0.0 and not spg:
@@ -240,11 +255,14 @@ def solve_box(
             d = direction(x, g, alpha, bounds)
             gd = float(g.dot(d))
         if gd >= 0.0:
-            raise LineSearchError("projection arc yields no descent direction")
+            return finish("line_search_failed", "projection arc yields no descent direction")
 
-        lam, f_new, unit, x_new = nonmonotone_search(oracle, x, d, gd, ls)
+        step = nonmonotone_search(oracle, x, d, gd, ls)
+        if step is None:
+            return finish("line_search_failed", f"no acceptable step after {MAX_BACKTRACKS} backtracks")
+        lam, f_new, unit, x_new = step
         if not math.isfinite(f_new):
-            raise DivergedError(f"nonfinite objective at iteration {k}")
+            return finish("diverged", f"nonfinite objective at iteration {k}")
         rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma,
                "lam": lam, "f_new": f_new, "unit": unit}
         records.append(rec)
@@ -290,13 +308,6 @@ def solve_box(
         x, g = x_new, g_new
         pg = _pg_norm(x, g, bounds)
         trace.add(rec["alpha"], label, f_new, gnorm, pg)
-        done = trace.stop(pg)
         k += 1
 
-    return trace.result(
-        x,
-        func_evals=oracle.eval_count,
-        grad_evals=oracle.grad_count,
-        cpu_seconds=time.perf_counter() - t0,
-        ls_records=records,
-    )
+    return finish()

@@ -20,12 +20,16 @@ import sys
 
 import numpy as np
 
-from . import bench, box_solver, qp_engine
+from . import bench, qp_engine
 from .problem import QuadraticProblem
 from .qp_engine import StrategySpec
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _RunFailed(Exception):
     pass
 
 
@@ -58,7 +62,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1e-9)
     p.add_argument("--seed", type=int, help="override the problem descriptor seed")
     p.add_argument("--max-iter", type=int, default=20000)
-    p.add_argument("--retain-gradients", action="store_true")
     p.add_argument("--start", choices=["auto", "ones", "zeros"], default="auto")
     p.add_argument("--out", required=True, help="trace CSV path")
 
@@ -94,6 +97,14 @@ def _load_problem(path: str, seed: int | None) -> tuple[QuadraticProblem, str]:
     return QuadraticProblem.from_json(desc), kind
 
 
+def _run(problem: QuadraticProblem, x1: np.ndarray, spec: StrategySpec, **kwargs) -> qp_engine.RunTrace:
+    """``qp_engine.run``, with a failed run raised as ``_RunFailed``."""
+    trace = qp_engine.run(problem, x1, spec, **kwargs)
+    if trace.failure:
+        raise _RunFailed(trace.failure)
+    return trace
+
+
 def _start_point(problem: QuadraticProblem, kind: str, choice: str) -> np.ndarray:
     if choice == "zeros" or (choice == "auto" and kind == "laplace3d"):
         return np.zeros(problem.dim)
@@ -123,14 +134,7 @@ def _cmd_solve(args) -> int:
     problem, kind = _load_problem(args.problem, args.seed)
     spec = StrategySpec(method=args.strategy, h=args.h, s=args.s, tau=args.tau)
     x1 = _start_point(problem, kind, args.start)
-    trace = qp_engine.run(
-        problem,
-        x1,
-        spec,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        retain_gradients=args.retain_gradients,
-    )
+    trace = _run(problem, x1, spec, eps=args.eps, max_iter=args.max_iter)
     trace.to_csv(args.out)
     print(json.dumps(trace.summary()))
     return 0
@@ -180,9 +184,7 @@ def _cmd_diag(args) -> int:
     problem, kind = _load_problem(args.problem, args.seed)
     spec = StrategySpec(method=args.strategy, h=args.h, s=args.s)
     x1 = _start_point(problem, kind, "auto")
-    trace = qp_engine.run(
-        problem, x1, spec, eps=args.eps, max_iter=args.max_iter, retain_gradients=True
-    )
+    trace = _run(problem, x1, spec, eps=args.eps, max_iter=args.max_iter, retain_gradients=True)
     series = qp_engine.stepsize_history_diagnostic(trace, problem)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (qp_engine.DivergedError, box_solver.LineSearchError) as exc:
+    except _RunFailed as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 

@@ -64,7 +64,6 @@ __all__ = [
     "METHODS",
     "StrategySpec",
     "RunTrace",
-    "DivergedError",
     "run",
     "run_many",
     "stepsize_history_diagnostic",
@@ -82,35 +81,22 @@ BLOCK_ELEMENTS = 2**16
 DOT_CHUNK = 8192
 
 
-class DivergedError(RuntimeError):
-    """The run failed numerically (see ``run_many`` for the causes).
-
-    ``trace`` is the run recorded up to the last iterate with a finite
-    objective (termination ``diverged``) where the raiser keeps one, else
-    None. Only f is kept finite: ||g|| at that iterate may already be inf
-    (ROADMAP item 5).
-    """
-
-    def __init__(self, message: str, trace: "RunTrace | None" = None):
-        super().__init__(message)
-        self.trace = trace
-
-
 class _Row:
     """One strategy's run inside a block.
 
     It holds the scalars the stepsize rules read, at the current iterate
     and (suffix ``_prev``) one iterate back, with ``bar`` the spectral
-    quotient that the NEWS family's short rule reads; its rule, schedule
-    and short-rule memory; its step count k, the step it takes next
-    (alpha, label) with the objective f it reaches; its recorder, and its
-    place ``out`` among the returned traces.
+    quotient that the NEWS family's short rule reads; its rule and
+    schedule; the short rules' memory (ABBMIN2's BB2 ``window`` and
+    ``tau``, SDC's ``frozen`` step); its step count k, the step it takes
+    next (alpha, label) with the objective f it reaches; its recorder, and
+    its place ``out`` among the returned traces.
     """
 
     __slots__ = (
         "gw", "gnorm", "sd", "aopt", "bb2",
         "gw_prev", "gnorm_prev", "sd_prev", "aopt_prev", "bb2_prev", "bar",
-        "first", "later", "short", "state", "h", "period", "bars",
+        "first", "later", "short", "h", "period", "bars", "window", "tau", "frozen",
         "k", "alpha", "label", "f", "trace", "grads", "out",
     )
 
@@ -120,52 +106,42 @@ class _Row:
         self.first, self.later = attrgetter(rule.first), attrgetter(rule.later)
         self.h, s = rule.cycle or (spec.h, spec.s)
         self.period = self.h + s
-        self.short, self.state = rule.short, _ShortState(spec)
+        self.short = rule.short
+        self.window, self.tau, self.frozen = deque(maxlen=spec.abb_window), spec.tau, None
         # bars[0] is the quotient `lag` steps back, None until it exists
         self.bars = None if rule.lag is None else deque([None] * rule.lag, maxlen=rule.lag + 1)
         self.k, self.f = 0, f1
         self.trace, self.grads, self.out = trace, grads, out
 
 
-class _ShortState:
-    """Per-run memory of the short rules: ABBMIN2's BB2 window, SDC's frozen step."""
-
-    __slots__ = ("window", "tau", "frozen")
-
-    def __init__(self, spec: "StrategySpec"):
-        self.window = deque(maxlen=spec.abb_window)
-        self.tau = spec.tau
-        self.frozen = None
+# Short rules: (row, long value, first step of the short phase) -> (alpha, label)
 
 
-# Short rules: (caches, long value, first step of the short phase, state) -> (alpha, label)
-
-
-def _yuan(c: _Row, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _yuan(c: _Row, long_val: float, entering: bool) -> tuple[float, str]:
     """Two-point stepsize from the last two Cauchy steps (DY)."""
     return yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm), "short"
 
 
-def _yuan_frozen(c: _Row, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _yuan_frozen(c: _Row, long_val: float, entering: bool) -> tuple[float, str]:
     """Two-point stepsize taken on entering the short phase and held through it (SDC)."""
     if entering:
-        st.frozen = yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm)
-    return st.frozen, "short"
+        c.frozen = yuan_stepsize(c.sd_prev, c.sd, c.gnorm_prev, c.gnorm)
+    return c.frozen, "short"
 
 
-def _abb_min(c: _Row, bb1: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _abb_min(c: _Row, bb1: float, entering: bool) -> tuple[float, str]:
     """ABBMIN2 (Frassoldati, Zanghirati and Zanni, J. Ind. Manag. Optim. 4,
     2008): the minimum over the recent BB2 window when BB2_k/BB1_k < tau,
     else BB1_k. With the default window of two this is
     min{BB2_{k-1}, BB2_k}."""
     bb2 = c.bb2_prev
-    st.window.append(bb2)
-    if bb2 / bb1 < st.tau:
-        return min(st.window), "short"
+    c.window.append(bb2)
+    if bb2 / bb1 < c.tau:
+        return min(c.window), "short"
     return bb1, "long"
 
 
-def _spectral(c: _Row, long_val: float, entering: bool, st: _ShortState) -> tuple[float, str]:
+def _spectral(c: _Row, long_val: float, entering: bool) -> tuple[float, str]:
     """Long value capped by the spectral quotient; the long value alone while
     the quotient is undefined (NEWS family)."""
     if c.bar is None:
@@ -256,8 +232,9 @@ class RunTrace:
     one (length iterations + 1); ``alpha`` and ``branch`` cover the steps
     taken. ``gradients`` is populated only when gradient retention was
     requested. The evaluation counters are filled by the oracle-based
-    solvers and stay zero for the quadratic engine. ``failure`` says why
-    a ``diverged`` run stopped.
+    solvers and stay zero for the quadratic engine. ``failure`` holds the
+    cause of a run that ended ``diverged`` or ``line_search_failed``, and
+    is None for every other run.
     """
 
     f: np.ndarray
@@ -269,7 +246,6 @@ class RunTrace:
     gradients: list[np.ndarray] | None = None
     func_evals: int = 0
     grad_evals: int = 0
-    cpu_seconds: float = 0.0
     pg_inf: np.ndarray | None = None
     ls_records: list[dict] | None = field(default=None, repr=False)
     x_final: np.ndarray | None = field(default=None, repr=False)
@@ -291,7 +267,6 @@ class RunTrace:
             # oracle-based run: evaluation counters are part of the record
             out["func_evals"] = self.func_evals
             out["grad_evals"] = self.grad_evals
-            out["cpu_seconds"] = self.cpu_seconds
         return out
 
     def to_csv(self, path: str) -> None:
@@ -460,13 +435,13 @@ def run_many(
     other rows are, and the same under any BLAS thread count. The path
     does not depend on ``eps``, which only decides where it stops.
 
-    A row that fails numerically ends ``diverged`` with its trace up to
-    the last iterate whose objective is finite and the cause in
-    ``failure``, and the other rows run on. Only f is kept finite: ||g||
-    at that iterate may already be inf (ROADMAP item 5). The causes are a
-    nonfinite ||g_1|| or f_1 at the start, a step to a nonfinite
-    objective, zero curvature g'Ag = 0, and an undefined two-point (DY,
-    SDC) short step.
+    A row that fails numerically is returned, not raised: it ends
+    ``diverged`` with its trace up to the last iterate whose objective is
+    finite and the cause in ``failure``, and the other rows run on. Only
+    f is kept finite: ||g|| at that iterate may already be inf (ROADMAP
+    item 5). The causes are a nonfinite ||g_1|| or f_1 at the start, a
+    step to a nonfinite objective, zero curvature g'Ag = 0, and an
+    undefined two-point (DY, SDC) short step.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -555,7 +530,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
                     alpha, label = r.later(r), "long"
                     phase = k % r.period
                     if phase >= r.h:
-                        alpha, label = r.short(r, alpha, phase == r.h, r.state)
+                        alpha, label = r.short(r, alpha, phase == r.h)
             except ZeroDivisionError:
                 failure = f"zero curvature g'Ag = 0 at iteration {k}"
             except (ArithmeticError, StepsizeUndefinedError) as exc:
@@ -602,14 +577,11 @@ def run(
 
     Iterates until ||g_k|| <= eps * ||g_1|| or the step count hits
     max_iter. Same problem, start, and spec give a bitwise-identical trace
-    under any BLAS thread count. A run that ends ``diverged`` raises
-    ``DivergedError`` carrying its trace up to the last iterate with a
-    finite objective.
+    under any BLAS thread count. A numerical failure is returned, not
+    raised: the trace ends ``diverged`` with its cause in ``failure`` (see
+    ``run_many``).
     """
-    trace = run_many(p, x1, [spec], eps, max_iter, retain_gradients)[0]
-    if trace.termination == "diverged":
-        raise DivergedError(trace.failure, trace)
-    return trace
+    return run_many(p, x1, [spec], eps, max_iter, retain_gradients)[0]
 
 
 def stepsize_history_diagnostic(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specgrad import box_solver, qp_engine
+from specgrad import box_solver
 from specgrad.suite import make_suite
 
 PLAN = Path(__file__).resolve().parent.parent / "plans" / "profiles.json"
@@ -37,12 +37,7 @@ def trace_digest(trace) -> str:
 
 def cell(entry, strat: dict, eps: float, iter_cap: int) -> dict:
     cfg = box_solver.BoxRunConfig(**{"eps_pg": eps, "max_iter": iter_cap, **strat})
-    oracle = entry.oracle_factory()
-    try:
-        trace = box_solver.solve_box(oracle, entry.bounds, entry.x1, cfg)
-    except (box_solver.LineSearchError, qp_engine.DivergedError) as exc:
-        return {"termination": type(exc).__name__, "func_evals": oracle.eval_count,
-                "grad_evals": oracle.grad_count}
+    trace = box_solver.solve_box(entry.oracle_factory(), entry.bounds, entry.x1, cfg)
     return {
         "iterations": trace.iterations,
         "func_evals": trace.func_evals,

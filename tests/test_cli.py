@@ -59,6 +59,16 @@ def test_solve_numerical_failure_exits_2(tmp_path, capsys, desc, strategy, cause
     assert err.startswith("run failed:") and cause in err
 
 
+def test_diag_numerical_failure_exits_2(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"kind": "dense", "matrix": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}))
+    out = tmp_path / "diag.csv"
+    rc = main(["diag", "--problem", str(problem), "--strategy", "sd", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("run failed: zero curvature")
+    assert not out.exists()
+
+
 def test_solve_unknown_strategy(tmp_path, capsys):
     problem = tmp_path / "p.json"
     main(["gen", "--family", "TP1", "--n", "10", "--out", str(problem)])
@@ -127,14 +137,6 @@ def test_profile_no_rows(tmp_path, capsys):
     empty.write_text("family,kappa,eps,method,h,s,seed,iters,func_evals,termination\n")
     rc = main(["profile", str(empty), "--out", str(tmp_path / "p.csv")])
     assert rc == 1
-
-
-def test_solve_with_retained_gradients(tmp_path):
-    problem = tmp_path / "p.json"
-    main(["gen", "--family", "SET1", "--n", "40", "--kappa", "100", "--out", str(problem)])
-    rc = main(["solve", "--problem", str(problem), "--strategy", "AOPT",
-               "--eps", "1e-8", "--retain-gradients", "--out", str(tmp_path / "t.csv")])
-    assert rc == 0
 
 
 def test_diag_series(tmp_path):
