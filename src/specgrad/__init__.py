@@ -26,6 +26,7 @@ from .generators import (
     LaplaceSpec,
     SpectrumSpec,
     gen_diag_problem,
+    gen_instance,
     gen_laplace3d,
     gen_rotated_equivalent,
     gen_rotated_problem,

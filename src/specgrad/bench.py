@@ -4,7 +4,9 @@ A plan is a JSON document listing problem descriptors (with seed lists),
 strategies, and tolerances. ``run_plan`` executes the grid one instance
 after another and returns rows in a deterministic key order, so result
 CSVs are byte-identical from run to run. Each quadratic (descriptor,
-seed) instance is built once, and all of its strategies run in one
+seed) instance is built once, with its start and row labels, by
+``generators.gen_instance``, the one reader of the problem descriptor
+format that plans share with the CLI; all of its strategies run in one
 ``qp_engine.run_many`` call, one trajectory each, at the smallest
 tolerance: every tolerance's row is read off that trajectory. Quadratic
 rows do not depend on the BLAS thread count (see ``qp_engine``); box
@@ -22,16 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import box_solver, qp_engine
-from .generators import (
-    LaplaceSpec,
-    SpectrumSpec,
-    gen_diag_problem,
-    gen_laplace3d,
-    gen_rotated_equivalent,
-    gen_rotated_problem,
-    laplace_eigen_bounds,
-)
-from .problem import QuadraticProblem
+from .generators import family_spec, gen_instance
 from .qp_engine import HS_METHODS, StrategySpec
 from .suite import make_suite
 
@@ -64,10 +57,12 @@ RESULT_FIELDS = (
 class ExperimentPlan:
     """Validated experiment grid.
 
-    ``problems`` entries are either quadratic descriptors
-    ({"family", "n", "kappa", "seeds", "mode"} with mode one of
-    diag / diag_equiv / dense, or {"kind": "laplace3d", "variant", "N"})
-    or {"kind": "box_suite"} for the bound-constrained suite.
+    ``problems`` entries are either quadratic descriptors in the format
+    of ``generators.gen_instance`` ({"family", "n", "kappa", "seeds",
+    "mode"} with mode one of diag / diag_equiv / dense, or
+    {"kind": "laplace3d", "variant", "N"}) or {"kind": "box_suite"} for
+    the bound-constrained suite. A family entry is checked at load (see
+    ``generators.family_spec``).
     ``strategies`` entries carry {"method", "h", "s", ...} for the
     quadratic engine or {"variant", ...} for the box solvers.
     """
@@ -94,9 +89,9 @@ class ExperimentPlan:
             else:
                 raise ValueError(f"strategy entry needs 'method' or 'variant': {s!r}")
         for p in self.problems:
-            if p.get("kind") in ("laplace3d", "box_suite"):
-                continue
-            if "family" not in p:
+            if "family" in p:
+                family_spec(p, seed=0)
+            elif p.get("kind") not in ("laplace3d", "box_suite"):
                 raise ValueError(f"problem entry needs 'family' or a known 'kind': {p!r}")
 
     @staticmethod
@@ -117,38 +112,10 @@ class ExperimentPlan:
             return ExperimentPlan.from_json(json.load(fh))
 
 
-def _instantiate_quadratic(desc: dict, seed: int) -> tuple[QuadraticProblem, np.ndarray, dict]:
-    """Problem, starting point, and row labels for one quadratic descriptor."""
-    if desc.get("kind") == "laplace3d":
-        spec = LaplaceSpec(variant=desc["variant"], N=int(desc["N"]))
-        problem, _ = gen_laplace3d(spec)
-        lam_min, lam_max = laplace_eigen_bounds(spec.N)
-        meta = {"family": f"LAPLACE-{spec.variant}", "kappa": lam_max / lam_min}
-        return problem, np.zeros(problem.dim), meta
-
-    spec = SpectrumSpec(
-        family=desc["family"],
-        n=int(desc["n"]),
-        kappa=float(desc.get("kappa", desc["n"])),
-        seed=seed,
-    )
-    mode = desc.get("mode", "diag")
-    ones = np.ones(spec.n)
-    if mode == "diag":
-        problem, x1 = gen_diag_problem(spec), ones
-    elif mode == "diag_equiv":
-        problem, x1 = gen_rotated_equivalent(spec, ones)
-    elif mode == "dense":
-        problem, x1 = gen_rotated_problem(spec), ones
-    else:
-        raise ValueError(f"unknown problem mode {mode!r}")
-    return problem, x1, {"family": spec.family, "kappa": spec.kappa}
-
-
 def _run_quadratic_instance(desc: dict, seed: int, plan: ExperimentPlan) -> list[dict]:
     """Rows of every (strategy, tolerance) cell on one built instance,
     whose strategies run as one lockstep block."""
-    problem, x1, meta = _instantiate_quadratic(desc, seed)
+    problem, x1, meta = gen_instance(desc, seed)
     specs = [StrategySpec(**strat) for strat in plan.strategies]
     traces = qp_engine.run_many(problem, x1, specs, eps=min(plan.tolerances), max_iter=plan.iter_cap)
     rows = []

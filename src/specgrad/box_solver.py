@@ -156,7 +156,6 @@ class BoxRunConfig:
     eps_pg: float = 1e-6
     max_iter: int = 20000
     variant: str = "A1"
-    retard_spectral: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha_min < self.alpha_max:
@@ -243,7 +242,6 @@ def solve_box(
     mem = StepsizeMemory()
     mem.start(g)
     alpha = _initial_alpha(pg if spg else gnorm, cfg)
-    prev_spectral: float | None = None
 
     k = 1
     while not trace.stop(pg):
@@ -282,7 +280,7 @@ def solve_box(
             gnorm = mem.gnorm_cur
             short = k % (cfg.h + cfg.s) >= cfg.h
             spectral = None
-            if cfg.retard_spectral or (sty > 0.0 and short):
+            if sty > 0.0 and short:
                 try:
                     spectral = bar_alpha_general(mem)
                 except StepsizeUndefinedError:
@@ -290,17 +288,15 @@ def solve_box(
             rec["spectral"] = spectral
             if sty > 0.0:
                 long_next = _A1_LONG[cfg.variant](mem)
-                cap = prev_spectral if cfg.retard_spectral else spectral
                 if not short:
                     tilde, label = long_next, "long"
-                elif cap is not None and math.isfinite(cap) and cap > 0.0:
-                    tilde, label = min(cap, long_next), "short_min"
+                elif spectral is not None and math.isfinite(spectral) and spectral > 0.0:
+                    tilde, label = min(spectral, long_next), "short_min"
                 else:
                     tilde, label = mem.barbb2_cur, "short_bb2"
                 alpha = _safeguard(tilde, cfg)
             else:
                 alpha, label = (1.0 / gnorm if gnorm > 0.0 else 1.0), "sy_nonpos"
-            prev_spectral = spectral
 
         update_reference(ls, f_new)
         if spg:

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import bench, qp_engine
+from .generators import gen_instance
 from .problem import QuadraticProblem
 from .qp_engine import StrategySpec
 
@@ -88,13 +89,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_problem(path: str, seed: int | None) -> tuple[QuadraticProblem, str]:
+def _load_instance(path: str, seed: int | None, start: str) -> tuple[QuadraticProblem, np.ndarray]:
+    """Problem and start of a descriptor file; ``start`` ones or zeros
+    replaces the descriptor's own start (``auto``)."""
     with open(path) as fh:
-        desc = json.load(fh)
-    if seed is not None:
-        desc["seed"] = seed
-    kind = desc.get("kind", "diag")
-    return QuadraticProblem.from_json(desc), kind
+        problem, x1, _ = gen_instance(json.load(fh), seed)
+    if start != "auto":
+        x1 = (np.ones if start == "ones" else np.zeros)(problem.dim)
+    return problem, x1
 
 
 def _run(problem: QuadraticProblem, x1: np.ndarray, spec: StrategySpec, **kwargs) -> qp_engine.RunTrace:
@@ -105,12 +107,6 @@ def _run(problem: QuadraticProblem, x1: np.ndarray, spec: StrategySpec, **kwargs
     return trace
 
 
-def _start_point(problem: QuadraticProblem, kind: str, choice: str) -> np.ndarray:
-    if choice == "zeros" or (choice == "auto" and kind == "laplace3d"):
-        return np.zeros(problem.dim)
-    return np.ones(problem.dim)
-
-
 def _cmd_gen(args) -> int:
     if args.kind == "laplace3d":
         desc = {"kind": "laplace3d", "variant": args.variant, "N": args.N}
@@ -118,11 +114,11 @@ def _cmd_gen(args) -> int:
         if not args.family:
             raise _UsageError("gen needs --family or --kind laplace3d")
         desc = {
-            "kind": "dense" if args.mode == "dense" else "diag",
             "family": args.family.upper(),
             "n": args.n,
             "kappa": args.kappa if args.kappa is not None else float(args.n),
             "seed": args.seed,
+            "mode": args.mode,
         }
     with open(args.out, "w") as fh:
         json.dump(desc, fh, indent=2)
@@ -131,9 +127,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem, kind = _load_problem(args.problem, args.seed)
+    problem, x1 = _load_instance(args.problem, args.seed, args.start)
     spec = StrategySpec(method=args.strategy, h=args.h, s=args.s, tau=args.tau)
-    x1 = _start_point(problem, kind, args.start)
     trace = _run(problem, x1, spec, eps=args.eps, max_iter=args.max_iter)
     trace.to_csv(args.out)
     print(json.dumps(trace.summary()))
@@ -181,9 +176,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    problem, kind = _load_problem(args.problem, args.seed)
+    problem, x1 = _load_instance(args.problem, args.seed, "auto")
     spec = StrategySpec(method=args.strategy, h=args.h, s=args.s)
-    x1 = _start_point(problem, kind, "auto")
     trace = _run(problem, x1, spec, eps=args.eps, max_iter=args.max_iter, retain_gradients=True)
     series = qp_engine.stepsize_history_diagnostic(trace, problem)
     with open(args.out, "w", newline="") as fh:

@@ -14,6 +14,10 @@ All draws go through ``numpy.random.default_rng(seed)`` (PCG64), with a
 fixed draw order per generator, so that a (family, n, kappa, seed) tuple
 pins the problem bitwise. Uniform samples on an open interval use the
 half-open transform lo + (hi-lo)*U, U in [0, 1).
+
+``gen_instance`` owns the JSON descriptor format that plans and the CLI
+share: it maps a descriptor to a problem, its starting point and its row
+labels.
 """
 
 from __future__ import annotations
@@ -34,9 +38,12 @@ __all__ = [
     "gen_rotated_equivalent",
     "gen_laplace3d",
     "laplace_eigen_bounds",
+    "family_spec",
+    "gen_instance",
 ]
 
 _FAMILIES = ("TP1", "SET1", "SET2", "SET3", "SET4", "SET5")
+_MODES = ("diag", "dense", "diag_equiv")
 
 # Per-family interior eigenvalue layout: segments of 1-based index ranges
 # (lo_idx, hi_idx, lo, hi), with lo/hi given as functions of kappa.
@@ -232,3 +239,55 @@ def laplace_eigen_bounds(N: int) -> tuple[float, float]:
     """Closed-form extreme eigenvalues of the unscaled 7-point Laplacian."""
     h = math.pi / (2.0 * (N + 1))
     return 12.0 * math.sin(h) ** 2, 12.0 * math.sin(N * h) ** 2
+
+
+def family_spec(desc: dict, seed: int | None = None) -> SpectrumSpec:
+    """Spectrum recipe of a family descriptor {"family", "n", "kappa",
+    "seed", "mode"}; ``seed`` overrides the descriptor's.
+
+    ``kappa`` defaults to ``n`` and ``seed`` to 0. An unknown ``mode``, or
+    a ``kind`` key (the problem form of a family descriptor is its
+    ``mode``), raises ``ValueError``.
+    """
+    if "kind" in desc:
+        raise ValueError(f"a family descriptor takes 'mode' (one of {_MODES}), not 'kind': {desc!r}")
+    if desc.get("mode", "diag") not in _MODES:
+        raise ValueError(f"unknown problem mode {desc['mode']!r}; expected one of {_MODES}")
+    return SpectrumSpec(
+        family=desc["family"],
+        n=int(desc["n"]),
+        kappa=float(desc.get("kappa", desc["n"])),
+        seed=int(desc.get("seed", 0) if seed is None else seed),
+    )
+
+
+def gen_instance(desc: dict, seed: int | None = None) -> tuple[QuadraticProblem, np.ndarray, dict]:
+    """Problem, starting point and row labels ({"family", "kappa"}) of one
+    JSON problem descriptor.
+
+    * A family descriptor (any with a ``family`` key; see
+      ``family_spec``, whose ``seed`` overrides the descriptor's) starts
+      from ones. Its ``mode`` is ``diag`` (the default), ``dense`` (the
+      rotated problem) or ``diag_equiv`` (the rotated problem's diagonal
+      twin, from the rotated ones).
+    * ``{"kind": "laplace3d", "variant", "N"}`` starts from zeros.
+    * Any other descriptor holds explicit arrays, read by
+      ``QuadraticProblem.from_json``, and starts from ones.
+    """
+    if "family" in desc:
+        spec = family_spec(desc, seed)
+        mode, ones = desc.get("mode", "diag"), np.ones(spec.n)
+        if mode == "diag_equiv":
+            problem, x1 = gen_rotated_equivalent(spec, ones)
+        elif mode == "dense":
+            problem, x1 = gen_rotated_problem(spec), ones
+        else:
+            problem, x1 = gen_diag_problem(spec), ones
+        return problem, x1, {"family": spec.family, "kappa": spec.kappa}
+    if desc.get("kind") == "laplace3d":
+        spec = LaplaceSpec(variant=desc["variant"], N=int(desc["N"]))
+        problem, _ = gen_laplace3d(spec)
+        lam_min, lam_max = laplace_eigen_bounds(spec.N)
+        return problem, np.zeros(problem.dim), {"family": f"LAPLACE-{spec.variant}", "kappa": lam_max / lam_min}
+    problem = QuadraticProblem.from_json(desc)
+    return problem, np.ones(problem.dim), {"family": desc["kind"], "kappa": ""}

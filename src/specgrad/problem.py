@@ -10,7 +10,6 @@ unbounded (IEEE +-inf sentinels). General smooth objectives enter through
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
 import numpy as np
@@ -147,34 +146,15 @@ class QuadraticProblem:
 
     @staticmethod
     def from_json(desc: dict) -> "QuadraticProblem":
-        """Build a problem from its JSON description.
+        """Build a problem from its explicit JSON description.
 
         Accepted kinds: ``diag`` / ``dense`` / ``sparse`` with explicit
-        arrays, ``laplace3d`` with grid parameters, or ``diag`` / ``dense``
-        carrying a ``family`` plus (n, kappa, seed) resolved through the
-        benchmark generators. The linear term may be an explicit array or
-        ``{"kind": "random", "seed": ..., "range": [lo, hi]}``.
+        arrays (the ``to_json`` format). The linear term may be an explicit
+        array or ``{"kind": "random", "seed": ..., "range": [lo, hi]}``.
+        Generated problems (families, the Laplacian) are described to
+        ``generators.gen_instance``, which hands other descriptors here.
         """
         kind = desc.get("kind")
-        if kind == "laplace3d":
-            from .generators import LaplaceSpec, gen_laplace3d
-
-            spec = LaplaceSpec(variant=desc["variant"], N=int(desc["N"]))
-            problem, _ = gen_laplace3d(spec)
-            return problem
-        if "family" in desc:
-            from .generators import SpectrumSpec, gen_diag_problem, gen_rotated_problem
-
-            spec = SpectrumSpec(
-                family=desc["family"],
-                n=int(desc["n"]),
-                kappa=float(desc.get("kappa", desc["n"])),
-                seed=int(desc.get("seed", 0)),
-            )
-            if kind == "dense":
-                return gen_rotated_problem(spec)
-            return gen_diag_problem(spec)
-
         if kind == "diag":
             h = np.asarray(desc["eigenvalues"], dtype=np.float64)
         elif kind == "dense":
@@ -189,11 +169,6 @@ class QuadraticProblem:
         n = h.shape[0]
         b = _resolve_b(desc.get("b"), n)
         return QuadraticProblem(h, b)
-
-    @staticmethod
-    def load(path: str) -> "QuadraticProblem":
-        with open(path) as fh:
-            return QuadraticProblem.from_json(json.load(fh))
 
     def __repr__(self) -> str:
         return f"QuadraticProblem(kind={self.kind!r}, dim={self.dim})"

@@ -57,6 +57,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             tiny_plan(strategies=[{"algorithm": "SD"}])
 
+    @pytest.mark.parametrize("kind", ["diag", "dense"])
+    def test_family_entry_with_kind(self, kind):
+        # a family entry spells its problem form as 'mode'
+        with pytest.raises(ValueError, match="'mode'"):
+            tiny_plan(problems=[{"family": "SET1", "n": 30, "kappa": 100.0, "seeds": [1], "kind": kind}])
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            tiny_plan(problems=[{"family": "SET1", "n": 30, "kappa": 100.0, "seeds": [1], "mode": "rotated"}])
+
     def test_missing_key(self):
         with pytest.raises(ValueError):
             ExperimentPlan.from_json({"problems": []})
@@ -139,7 +149,7 @@ def one_run_per_tolerance(plan):
     out = []
     for desc in plan.problems:
         for seed in desc["seeds"]:
-            problem, x1, _ = bench._instantiate_quadratic(desc, seed)
+            problem, x1, _ = bench.gen_instance(desc, seed)
             for strat in plan.strategies:
                 for eps in plan.tolerances:
                     tr = qp_engine.run(problem, x1, StrategySpec(**strat), eps=eps, max_iter=plan.iter_cap)
@@ -190,7 +200,7 @@ class TestSharedTrajectory:
     def test_tolerance_landing_on_a_recorded_norm(self):
         # eps * ||g_1|| == ||g_i|| exactly: the row stops at i, as the engine's `<=` does
         desc, seed = tiny_plan().problems[0], 1
-        problem, x1, _ = bench._instantiate_quadratic(desc, seed)
+        problem, x1, _ = bench.gen_instance(desc, seed)
         gnorm = qp_engine.run(problem, x1, StrategySpec("BB1"), eps=1e-6).gnorm
         records = [i for i in range(1, len(gnorm)) if gnorm[i] < gnorm[:i].min()]
         ties = [(i, gnorm[i] / gnorm[0]) for i in records if gnorm[i] / gnorm[0] * gnorm[0] == gnorm[i]]
@@ -212,8 +222,8 @@ class TestSharedTrajectory:
     def test_one_build_and_one_run_per_instance_and_strategy(self, monkeypatch):
         # one engine call per instance, holding each strategy once
         builds, runs = [], []
-        build, run_many = bench._instantiate_quadratic, qp_engine.run_many
-        monkeypatch.setattr(bench, "_instantiate_quadratic", lambda *a: builds.append(a) or build(*a))
+        build, run_many = bench.gen_instance, qp_engine.run_many
+        monkeypatch.setattr(bench, "gen_instance", lambda *a: builds.append(a) or build(*a))
         def counted(p, x1, specs, **kw):
             runs.append((kw["eps"], [s.method for s in specs]))
             return run_many(p, x1, specs, **kw)
@@ -244,7 +254,7 @@ def indefinite_instance(desc, seed):
 class TestFailureTerminations:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverged_after_crossing_the_loosest_tolerance(self, monkeypatch):
-        monkeypatch.setattr(bench, "_instantiate_quadratic", indefinite_instance)
+        monkeypatch.setattr(bench, "gen_instance", indefinite_instance)
         plan = tiny_plan(strategies=[{"method": "SD"}], tolerances=[1e-9, 1e-4, 1e-12], iter_cap=20000)
         rows = unsorted_rows(plan)
         assert cells(rows) == one_run_per_tolerance(plan)
@@ -256,7 +266,7 @@ class TestFailureTerminations:
             assert by_eps[eps]["iters"] == plan.iter_cap
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_diverged_error_carries_the_finite_part_of_the_run(self):
+    def test_diverged_trace_keeps_the_finite_part_of_the_run(self):
         problem, x1, _ = indefinite_instance(None, None)
         trace = qp_engine.run(problem, x1, StrategySpec("SD"), eps=1e-12)
         assert trace.termination == "diverged"
@@ -309,7 +319,7 @@ class TestFailedRows:
         singular = QuadraticProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
         problems = {1: (indefinite, np.ones(4)), 2: (singular, np.ones(2))}
         monkeypatch.setattr(
-            bench, "_instantiate_quadratic", lambda desc, seed: (*problems[seed], {"family": "F", "kappa": ""})
+            bench, "gen_instance", lambda desc, seed: (*problems[seed], {"family": "F", "kappa": ""})
         )
         plan = tiny_plan(strategies=[{"method": "DY"}, {"method": "BB2"}], tolerances=[1e-6], iter_cap=3000)
         got = {(r["seed"], r["method"]): (r["iters"], r["termination"]) for r in run_plan(plan)}

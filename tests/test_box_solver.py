@@ -246,12 +246,6 @@ class TestSolveBox:
             checked += 1
         assert checked >= 5
 
-    def test_retard_toggle_still_converges(self):
-        p = gen_diag_problem(SpectrumSpec("SET1", 30, 1e2, 2))
-        cfg = BoxRunConfig(retard_spectral=True)
-        tr = solve_box(p.as_oracle(), BoxBounds.free(30), np.ones(30), cfg)
-        assert tr.termination == "gradient_tol"
-
     def test_feasibility_of_every_iterate(self):
         p = gen_diag_problem(SpectrumSpec("SET4", 30, 1e3, 6))
         xs = p.solution()

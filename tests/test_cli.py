@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from specgrad.bench import ExperimentPlan, run_plan
 from specgrad.cli import main
 
 
@@ -13,7 +14,7 @@ def test_gen_then_solve(tmp_path):
     assert main(["gen", "--family", "TP1", "--n", "50", "--kappa", "100",
                  "--seed", "3", "--out", str(problem)]) == 0
     desc = json.loads(problem.read_text())
-    assert desc["kind"] == "diag" and desc["family"] == "TP1"
+    assert desc["mode"] == "diag" and desc["family"] == "TP1"
 
     rc = main([
         "solve", "--problem", str(problem), "--strategy", "news",
@@ -163,3 +164,30 @@ def test_gen_laplace(tmp_path):
 
 def test_gen_requires_family_or_kind(tmp_path):
     assert main(["gen", "--out", str(tmp_path / "x.json")]) == 1
+
+
+@pytest.mark.parametrize("mode", ["diag", "dense", "diag_equiv"])
+def test_solve_counts_match_the_plan_row(tmp_path, capsys, mode):
+    # solve and bench build the same problem and start from one descriptor
+    desc = {"family": "SET2", "n": 40, "kappa": 1e3, "seed": 7, "mode": mode}
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(desc))
+    assert main(["solve", "--problem", str(problem), "--strategy", "NEWS", "--h", "4", "--s", "6",
+                 "--eps", "1e-8", "--out", str(tmp_path / "t.csv")]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    plan = ExperimentPlan.from_json({
+        "problems": [dict(desc, seeds=[desc["seed"]])],
+        "strategies": [{"method": "NEWS", "h": 4, "s": 6}],
+        "tolerances": [1e-8],
+    })
+    (row,) = run_plan(plan)
+    assert (solved["iterations"], solved["termination"]) == (row["iters"], row["termination"])
+
+
+def test_family_descriptor_with_kind_exits_1(tmp_path, capsys):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"kind": "dense", "family": "SET1", "n": 20, "kappa": 100.0, "seed": 1}))
+    rc = main(["solve", "--problem", str(problem), "--strategy", "sd", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert "'mode'" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()

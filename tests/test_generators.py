@@ -11,6 +11,7 @@ from specgrad.generators import (
     _draw_spectrum,
     _laplace_matrix,
     gen_diag_problem,
+    gen_instance,
     gen_laplace3d,
     gen_rotated_equivalent,
     gen_rotated_problem,
@@ -217,3 +218,30 @@ class TestLaplace:
         a2, s2 = gen_laplace3d(LaplaceSpec("A", 4))
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(a1.b, a2.b)
+
+
+class TestGenInstance:
+    DESC = {"family": "SET3", "n": 20, "kappa": 1e3, "seed": 5}
+
+    def test_diag_equiv_starts_from_the_rotated_ones(self):
+        p, x1, labels = gen_instance(dict(self.DESC, mode="diag_equiv"))
+        twin, start = gen_rotated_equivalent(SpectrumSpec("SET3", 20, 1e3, 5), np.ones(20))
+        np.testing.assert_array_equal(p.diagonal, twin.diagonal)
+        np.testing.assert_array_equal(p.b, twin.b)
+        np.testing.assert_array_equal(x1, start)
+        assert labels == {"family": "SET3", "kappa": 1e3}
+
+    def test_seed_overrides_the_descriptor(self):
+        p, _, _ = gen_instance(self.DESC, seed=6)
+        np.testing.assert_array_equal(p.diagonal, gen_diag_problem(SpectrumSpec("SET3", 20, 1e3, 6)).diagonal)
+
+    def test_explicit_arrays_start_from_ones(self):
+        p, x1, labels = gen_instance({"kind": "diag", "eigenvalues": [1.0, 4.0], "b": [1.0, 1.0]})
+        np.testing.assert_array_equal(p.diagonal, [1.0, 4.0])
+        np.testing.assert_array_equal(x1, np.ones(2))
+        assert labels == {"family": "diag", "kappa": ""}
+
+    @pytest.mark.parametrize("extra", [{"kind": "dense"}, {"kind": "diag", "mode": "dense"}, {"mode": "rotated"}])
+    def test_rejects_kind_and_unknown_modes(self, extra):
+        with pytest.raises(ValueError, match="mode"):
+            gen_instance(dict(self.DESC, **extra))

@@ -1,10 +1,29 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from specgrad import problem as problem_module
+from specgrad.generators import gen_instance
 from specgrad.problem import BoxBounds, ObjectiveOracle, QuadraticProblem
+
+
+def test_problem_module_imports_no_specgrad_module():
+    # the generators build on problem, never the other way round
+    tree = ast.parse(Path(problem_module.__file__).read_text())
+    imported = [
+        node.module or "." * node.level
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("specgrad"))
+    ]
+    imported += [
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("specgrad")
+    ]
+    assert imported == []
 
 
 class TestHessianApply:
@@ -212,22 +231,25 @@ class TestJsonRoundTrip:
         assert np.all(np.abs(p.b) <= 10.0)
 
     def test_family_descriptor(self):
-        desc = {"kind": "diag", "family": "TP1", "n": 10, "kappa": 10.0, "seed": 4}
-        p = QuadraticProblem.from_json(desc)
+        desc = {"family": "TP1", "n": 10, "kappa": 10.0, "seed": 4, "mode": "diag"}
+        p, x1, _ = gen_instance(desc)
         assert p.kind == "diag" and p.dim == 10
         assert p.diagonal[0] == 1.0 and p.diagonal[-1] == 10.0
+        np.testing.assert_array_equal(x1, np.ones(10))
 
     def test_dense_family_descriptor(self):
-        desc = {"kind": "dense", "family": "SET1", "n": 12, "kappa": 50.0, "seed": 4}
-        p = QuadraticProblem.from_json(desc)
+        desc = {"family": "SET1", "n": 12, "kappa": 50.0, "seed": 4, "mode": "dense"}
+        p, x1, _ = gen_instance(desc)
         assert p.kind == "dense" and p.dim == 12
         eig = np.linalg.eigvalsh(p.hessian)
         assert eig[0] == pytest.approx(1.0, rel=1e-10)
         assert eig[-1] == pytest.approx(50.0, rel=1e-10)
+        np.testing.assert_array_equal(x1, np.ones(12))
 
     def test_laplace_descriptor(self):
-        p = QuadraticProblem.from_json({"kind": "laplace3d", "variant": "A", "N": 3})
+        p, x1, _ = gen_instance({"kind": "laplace3d", "variant": "A", "N": 3})
         assert p.kind == "sparse" and p.dim == 27
+        np.testing.assert_array_equal(x1, np.zeros(27))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

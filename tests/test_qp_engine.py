@@ -456,7 +456,7 @@ class TestNamedFailures:
 
     @pytest.mark.parametrize("case", FAILURES)
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_run_raises_with_the_trace(self, case):
+    def test_run_returns_the_failed_trace(self, case):
         hessian, b, x1, method, cause = FAILURES[case]
         p = QuadraticProblem(np.asarray(hessian), b)
         # the failure comes back as the trace, not raised
@@ -641,7 +641,7 @@ class TestConcurrentBlocks:
 def test_converged_rows_meet_the_true_residual():
     # the recurrence gradient stays the true one: ||Ax - b|| / ||g_1|| <= 1.01 eps
     plan = bench.ExperimentPlan.load(str(Path(__file__).resolve().parent.parent / "plans" / "table1.json"))
-    p, x1, _ = bench._instantiate_quadratic(plan.problems[0], plan.problems[0]["seeds"][0])
+    p, x1, _ = bench.gen_instance(plan.problems[0], plan.problems[0]["seeds"][0])
     eps = min(plan.tolerances)
     traces = run_many(p, x1, [StrategySpec(**s) for s in plan.strategies], eps=eps, max_iter=plan.iter_cap)
     r1 = np.linalg.norm(p.gradient(x1))
