@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import box_solver, qp_engine
-from .generators import family_spec, gen_instance
+from .generators import family_spec, gen_instance, laplace_spec
 from .qp_engine import HS_METHODS, StrategySpec
 from .suite import make_suite
 
@@ -61,8 +61,8 @@ class ExperimentPlan:
     of ``generators.gen_instance`` ({"family", "n", "kappa", "seeds",
     "mode"} with mode one of diag / diag_equiv / dense, or
     {"kind": "laplace3d", "variant", "N"}) or {"kind": "box_suite"} for
-    the bound-constrained suite. A family entry is checked at load (see
-    ``generators.family_spec``).
+    the bound-constrained suite. Family and laplace3d entries are checked
+    at load (see ``generators.family_spec`` and ``laplace_spec``).
     ``strategies`` entries carry {"method", "h", "s", ...} for the
     quadratic engine or {"variant", ...} for the box solvers.
     """
@@ -91,7 +91,9 @@ class ExperimentPlan:
         for p in self.problems:
             if "family" in p:
                 family_spec(p, seed=0)
-            elif p.get("kind") not in ("laplace3d", "box_suite"):
+            elif p.get("kind") == "laplace3d":
+                laplace_spec(p)
+            elif p.get("kind") != "box_suite":
                 raise ValueError(f"problem entry needs 'family' or a known 'kind': {p!r}")
 
     @staticmethod

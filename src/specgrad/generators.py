@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .problem import QuadraticProblem
 
@@ -39,6 +38,7 @@ __all__ = [
     "gen_laplace3d",
     "laplace_eigen_bounds",
     "family_spec",
+    "laplace_spec",
     "gen_instance",
 ]
 
@@ -192,10 +192,11 @@ def gen_rotated_equivalent(spec: SpectrumSpec, x1: np.ndarray) -> tuple[Quadrati
     return QuadraticProblem(v, bt), x1t
 
 
-def _laplace_matrix(N: int) -> sp.csr_matrix:
+def _laplace_matrix(N: int):
     """The 7-point stencil matrix (6 on the diagonal, -1 per grid
     neighbour) of index (k*N + j)*N + i, as CSR arrays built directly,
     columns ascending in every row."""
+    import scipy.sparse as sp
     n = N**3
     r = np.arange(n, dtype=np.int32)
     i, j, k = r % N, r // N % N, r // (N * N)
@@ -245,10 +246,12 @@ def family_spec(desc: dict, seed: int | None = None) -> SpectrumSpec:
     """Spectrum recipe of a family descriptor {"family", "n", "kappa",
     "seed", "mode"}; ``seed`` overrides the descriptor's.
 
-    ``kappa`` defaults to ``n`` and ``seed`` to 0. An unknown ``mode``, or
-    a ``kind`` key (the problem form of a family descriptor is its
-    ``mode``), raises ``ValueError``.
+    ``kappa`` defaults to ``n`` and ``seed`` to 0. A missing ``family`` or
+    ``n``, an unknown ``mode``, or a ``kind`` key (the problem form of a
+    family descriptor is its ``mode``), raises ``ValueError``.
     """
+    if missing := sorted({"family", "n"} - desc.keys()):
+        raise ValueError(f"problem descriptor lacks required key(s) {missing}: {desc!r}")
     if "kind" in desc:
         raise ValueError(f"a family descriptor takes 'mode' (one of {_MODES}), not 'kind': {desc!r}")
     if desc.get("mode", "diag") not in _MODES:
@@ -259,6 +262,13 @@ def family_spec(desc: dict, seed: int | None = None) -> SpectrumSpec:
         kappa=float(desc.get("kappa", desc["n"])),
         seed=int(desc.get("seed", 0) if seed is None else seed),
     )
+
+
+def laplace_spec(desc: dict) -> LaplaceSpec:
+    """Laplacian recipe of a {"kind": "laplace3d", "variant", "N"} descriptor."""
+    if missing := sorted({"variant", "N"} - desc.keys()):
+        raise ValueError(f"problem descriptor lacks required key(s) {missing}: {desc!r}")
+    return LaplaceSpec(variant=desc["variant"], N=int(desc["N"]))
 
 
 def gen_instance(desc: dict, seed: int | None = None) -> tuple[QuadraticProblem, np.ndarray, dict]:
@@ -285,7 +295,7 @@ def gen_instance(desc: dict, seed: int | None = None) -> tuple[QuadraticProblem,
             problem, x1 = gen_diag_problem(spec), ones
         return problem, x1, {"family": spec.family, "kappa": spec.kappa}
     if desc.get("kind") == "laplace3d":
-        spec = LaplaceSpec(variant=desc["variant"], N=int(desc["N"]))
+        spec = laplace_spec(desc)
         problem, _ = gen_laplace3d(spec)
         lam_min, lam_max = laplace_eigen_bounds(spec.N)
         return problem, np.zeros(problem.dim), {"family": f"LAPLACE-{spec.variant}", "kappa": lam_max / lam_min}

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["QuadraticProblem", "BoxBounds", "ObjectiveOracle"]
 
@@ -41,7 +40,12 @@ class QuadraticProblem:
     """
 
     def __init__(self, hessian, b=None):
-        if sp.issparse(hessian):
+        if isinstance(hessian, np.ndarray):  # an ndarray never loads scipy.sparse
+            sparse = False
+        else:
+            import scipy.sparse as sp
+            sparse = sp.issparse(hessian)
+        if sparse:
             self.kind = "sparse"
             self._h = hessian.tocsr().astype(np.float64, copy=False)
             n = self._h.shape[0]
@@ -160,10 +164,9 @@ class QuadraticProblem:
         elif kind == "dense":
             h = np.asarray(desc["matrix"], dtype=np.float64)
         elif kind == "sparse":
+            import scipy.sparse as sp
             n = int(desc["n"])
-            h = sp.coo_matrix(
-                (desc["vals"], (desc["rows"], desc["cols"])), shape=(n, n)
-            ).tocsr()
+            h = sp.coo_matrix((desc["vals"], (desc["rows"], desc["cols"])), shape=(n, n)).tocsr()
         else:
             raise ValueError(f"unknown problem kind: {kind!r}")
         n = h.shape[0]

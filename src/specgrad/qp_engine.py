@@ -35,12 +35,12 @@ Concurrency: when a problem is large enough that every block is one row
 (n > BLOCK_ELEMENTS // 2), the calling thread and min(cores, blocks) - 1
 worker threads take the blocks from one shared queue. Such a row's time
 goes mostly to the Hessian product and the vector updates, native code
-that releases the interpreter lock. Blocks of several rows run one after
-another on the calling thread, because their per-row rule arithmetic
-holds the lock. Each row performs the same operations wherever it runs,
-and no dot product is long enough for the BLAS to split it across its
-own threads, so a trace depends on neither the worker threads nor the
-BLAS thread count.
+that releases the interpreter lock; its chunk dots (``_dot``) hold it.
+Blocks of several rows run one after another on the calling thread, as
+their per-row rule arithmetic holds it. Each row performs the same
+operations wherever it runs, and no dot product is long enough for the
+BLAS to split it across its own threads, so a trace depends on neither
+the worker threads nor the BLAS thread count.
 """
 
 from __future__ import annotations

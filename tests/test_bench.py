@@ -71,6 +71,18 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ExperimentPlan.from_json({"problems": []})
 
+    @pytest.mark.parametrize(
+        "entry, key", [({"variant": "A"}, "'N'"), ({"N": 4}, "'variant'")], ids=["no-N", "no-variant"]
+    )
+    def test_laplace_entry_missing_a_key(self, entry, key):
+        # checked at load, not when run_plan reaches the entry
+        with pytest.raises(ValueError, match=key):
+            tiny_plan(problems=[dict(entry, kind="laplace3d")])
+
+    def test_laplace_entry_is_checked_at_load(self):
+        with pytest.raises(ValueError, match="variant"):
+            tiny_plan(problems=[{"kind": "laplace3d", "variant": "C", "N": 4}])
+
 
 class TestRunPlan:
     def test_grid_rows(self):

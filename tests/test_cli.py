@@ -191,3 +191,17 @@ def test_family_descriptor_with_kind_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "'mode'" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "desc, key",
+    [({"family": "SET1", "mode": "dense"}, "'n'"), ({"kind": "laplace3d", "variant": "A"}, "'N'")],
+    ids=["family-no-n", "laplace-no-N"],
+)
+def test_descriptor_missing_a_key_exits_1(tmp_path, capsys, desc, key):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(desc))
+    rc = main(["solve", "--problem", str(problem), "--strategy", "sd", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()

@@ -10,6 +10,7 @@ from specgrad.generators import (
     _draw_reflectors,
     _draw_spectrum,
     _laplace_matrix,
+    family_spec,
     gen_diag_problem,
     gen_instance,
     gen_laplace3d,
@@ -245,3 +246,18 @@ class TestGenInstance:
     def test_rejects_kind_and_unknown_modes(self, extra):
         with pytest.raises(ValueError, match="mode"):
             gen_instance(dict(self.DESC, **extra))
+
+    @pytest.mark.parametrize(
+        "read, desc, key",
+        [
+            (family_spec, {"n": 20, "mode": "diag"}, "'family'"),
+            (family_spec, {"family": "SET1", "mode": "dense"}, "'n'"),
+            (gen_instance, {"family": "SET1", "mode": "dense"}, "'n'"),
+            (gen_instance, {"kind": "laplace3d", "variant": "A"}, "'N'"),
+            (gen_instance, {"kind": "laplace3d", "N": 4}, "'variant'"),
+        ],
+        ids=["family-no-family", "family-no-n", "instance-no-n", "laplace-no-N", "laplace-no-variant"],
+    )
+    def test_missing_key_is_bad_input(self, read, desc, key):
+        with pytest.raises(ValueError, match=key):
+            read(desc)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -54,3 +56,34 @@ def test_profiles_plan_is_box_comparison():
     assert plan.problems == [{"kind": "box_suite"}]
     variants = {s["variant"] for s in plan.strategies}
     assert variants == {"A1", "A1_BB1", "A1_BB2", "SPG"}
+
+
+# Imports specgrad, loads every plan and runs grids that build no sparse
+# Hessian (one n = 200 seed of table1 and table3, and the profiles grid);
+# only then may a Laplacian build load scipy.sparse.
+COLD_START = """
+import json, sys
+from pathlib import Path
+import specgrad
+
+plans = Path(sys.argv[1])
+for path in sorted(plans.glob("*.json")):
+    specgrad.ExperimentPlan.load(str(path))
+for name in ("table1", "table3"):
+    desc = json.loads((plans / f"{name}.json").read_text())
+    desc["problems"] = [dict(p, n=200, seeds=p["seeds"][:1]) for p in desc["problems"]]
+    assert specgrad.run_plan(specgrad.ExperimentPlan.from_json(desc))
+assert specgrad.run_plan(specgrad.ExperimentPlan.load(str(plans / "profiles.json")))
+assert "scipy.sparse" not in sys.modules, "a run without a sparse Hessian loaded scipy.sparse"
+problem, _, _ = specgrad.gen_instance({"kind": "laplace3d", "variant": "A", "N": 5})
+assert problem.kind == "sparse" and "scipy.sparse" in sys.modules
+"""
+
+
+def test_only_a_sparse_problem_loads_scipy_sparse():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_START, PLAN_DIR], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
