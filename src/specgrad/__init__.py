@@ -44,15 +44,11 @@ from .qp_engine import (
 from .stepsize import (
     StepsizeMemory,
     StepsizeUndefinedError,
-    aopt_stepsize,
     bar_alpha_direct,
     bar_alpha_general,
-    bar_bb_stepsizes,
-    bb_stepsizes,
     hat_alpha_direct,
     modified_y,
     p_stepsize,
-    sd_stepsize,
     yuan_stepsize,
 )
 from .suite import BoundedProblem, make_suite

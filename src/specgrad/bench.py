@@ -32,6 +32,7 @@ __all__ = [
     "ExperimentPlan",
     "ProfileData",
     "RESULT_FIELDS",
+    "SUMMARY_FIELDS",
     "run_plan",
     "summarize",
     "performance_profile",
@@ -51,6 +52,10 @@ RESULT_FIELDS = (
     "func_evals",
     "termination",
 )
+
+# summarize writes one row per group of result rows equal in these fields
+_GROUP_FIELDS = ("family", "kappa", "eps", "method", "h", "s")
+SUMMARY_FIELDS = _GROUP_FIELDS + ("mean_iters", "runs", "failures")
 
 
 @dataclass
@@ -222,24 +227,18 @@ def run_plan(plan: ExperimentPlan) -> list[dict]:
 
 def summarize(rows: list[dict]) -> list[dict]:
     """Mean iterations per (family, kappa, eps, method, h, s) group, to one
-    decimal, plus run/failure counts."""
+    decimal, plus run/failure counts; each row has the ``SUMMARY_FIELDS``."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = tuple(str(row[k]) for k in ("family", "kappa", "eps", "method", "h", "s"))
+        key = tuple(str(row[k]) for k in _GROUP_FIELDS)
         groups.setdefault(key, []).append(row)
     out = []
     for key in sorted(groups):
         members = groups[key]
-        mean_iters = round(sum(r["iters"] for r in members) / len(members), 1)
         out.append(
             {
-                "family": members[0]["family"],
-                "kappa": members[0]["kappa"],
-                "eps": members[0]["eps"],
-                "method": members[0]["method"],
-                "h": members[0]["h"],
-                "s": members[0]["s"],
-                "mean_iters": mean_iters,
+                **{k: members[0][k] for k in _GROUP_FIELDS},
+                "mean_iters": round(sum(r["iters"] for r in members) / len(members), 1),
                 "runs": len(members),
                 "failures": sum(1 for r in members if r["termination"] != "gradient_tol"),
             }
@@ -267,15 +266,6 @@ class ProfileData:
     metric: str
     solvers: list[str]
     breakpoints: dict[str, list[tuple[float, float]]] = field(repr=False, default=None)
-
-    def rho(self, solver: str, tau: float) -> float:
-        value = 0.0
-        for t, r in self.breakpoints[solver]:
-            if t <= tau:
-                value = r
-            else:
-                break
-        return value
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:

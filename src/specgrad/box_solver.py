@@ -185,7 +185,7 @@ def _initial_alpha(norm: float, cfg: BoxRunConfig) -> float:
 
 # long-phase trial stepsize of the A1 variants, read from the stepsize memory
 _A1_LONG = {
-    "A1": lambda mem: p_stepsize(mem, use_modified_y=True),
+    "A1": lambda mem: p_stepsize(mem),  # looked up per call, so a wrapper on the module name sees it
     "A1_BB1": lambda mem: mem.barbb1_cur,
     "A1_BB2": lambda mem: mem.barbb2_cur,
 }

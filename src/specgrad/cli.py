@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bench, qp_engine
-from .generators import gen_instance
+from .generators import _MODES, gen_instance
 from .problem import QuadraticProblem
 from .qp_engine import StrategySpec
 
@@ -49,7 +49,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--kappa", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["diag", "dense"], default="diag")
+    p.add_argument("--mode", choices=_MODES, default="diag")
     p.add_argument("--variant", choices=["A", "B"], default="A")
     p.add_argument("--N", type=int, default=60)
     p.add_argument("--out", required=True)
@@ -142,13 +142,7 @@ def _cmd_bench(args) -> int:
     if args.summary_out:
         summary = bench.summarize(rows)
         with open(args.summary_out, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "family", "kappa", "eps", "method", "h", "s",
-                    "mean_iters", "runs", "failures",
-                ],
-            )
+            writer = csv.DictWriter(fh, fieldnames=bench.SUMMARY_FIELDS)
             writer.writeheader()
             writer.writerows(summary)
     print(f"{len(rows)} runs -> {args.out}")

@@ -18,6 +18,9 @@ __all__ = ["QuadraticProblem", "BoxBounds", "ObjectiveOracle"]
 
 _F64 = np.dtype(np.float64)
 
+# the array keys each explicit problem kind requires (see from_json)
+_ARRAY_KEYS = {"diag": {"eigenvalues"}, "dense": {"matrix"}, "sparse": {"n", "rows", "cols", "vals"}}
+
 
 class QuadraticProblem:
     """Strictly convex quadratic objective 0.5*x'Ax - b'x.
@@ -85,13 +88,6 @@ class QuadraticProblem:
     def hessian(self):
         return self._h
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        """Eigenvalues of a diagonal problem (error for other kinds)."""
-        if self.kind != "diag":
-            raise ValueError("problem Hessian is not stored in diagonal form")
-        return self._h
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Hessian-vector product A v, or A v_i for every row v_i of a (B, n) block.
 
@@ -132,43 +128,31 @@ class QuadraticProblem:
         """Fresh counting oracle over this objective (one per solver run)."""
         return ObjectiveOracle(self.objective, self.gradient)
 
-    def to_json(self) -> dict:
-        """Explicit JSON description (arrays inlined; see from_json)."""
-        if self.kind == "diag":
-            return {"kind": "diag", "eigenvalues": self._h.tolist(), "b": self.b.tolist()}
-        if self.kind == "dense":
-            return {"kind": "dense", "matrix": self._h.tolist(), "b": self.b.tolist()}
-        coo = self._h.tocoo()
-        return {
-            "kind": "sparse",
-            "n": self.dim,
-            "rows": coo.row.tolist(),
-            "cols": coo.col.tolist(),
-            "vals": coo.data.tolist(),
-            "b": self.b.tolist(),
-        }
-
     @staticmethod
     def from_json(desc: dict) -> "QuadraticProblem":
         """Build a problem from its explicit JSON description.
 
-        Accepted kinds: ``diag`` / ``dense`` / ``sparse`` with explicit
-        arrays (the ``to_json`` format). The linear term may be an explicit
-        array or ``{"kind": "random", "seed": ..., "range": [lo, hi]}``.
+        Accepted kinds, with their required keys: ``diag`` (``eigenvalues``),
+        ``dense`` (``matrix``) and ``sparse`` (``n``, ``rows``, ``cols``,
+        ``vals``, a COO listing). A missing key raises ``ValueError``. The
+        linear term ``b`` may be an explicit array or
+        ``{"kind": "random", "seed": ..., "range": [lo, hi]}``.
         Generated problems (families, the Laplacian) are described to
         ``generators.gen_instance``, which hands other descriptors here.
         """
         kind = desc.get("kind")
+        if not isinstance(kind, str) or kind not in _ARRAY_KEYS:
+            raise ValueError(f"unknown problem kind: {kind!r}")
+        if missing := sorted(_ARRAY_KEYS[kind] - desc.keys()):
+            raise ValueError(f"{kind} problem descriptor lacks required key(s) {missing}")
         if kind == "diag":
             h = np.asarray(desc["eigenvalues"], dtype=np.float64)
         elif kind == "dense":
             h = np.asarray(desc["matrix"], dtype=np.float64)
-        elif kind == "sparse":
+        else:
             import scipy.sparse as sp
             n = int(desc["n"])
             h = sp.coo_matrix((desc["vals"], (desc["rows"], desc["cols"])), shape=(n, n)).tocsr()
-        else:
-            raise ValueError(f"unknown problem kind: {kind!r}")
         n = h.shape[0]
         b = _resolve_b(desc.get("b"), n)
         return QuadraticProblem(h, b)
@@ -201,16 +185,9 @@ class BoxBounds:
             raise ValueError("lower bound exceeds upper bound")
         self.dim = self.lower.shape[0]
 
-    @staticmethod
-    def free(n: int) -> "BoxBounds":
-        return BoxBounds(np.full(n, -np.inf), np.full(n, np.inf))
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection: componentwise clamp onto [l, u]."""
         return np.asarray(x, dtype=np.float64).clip(self.lower, self.upper)
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def __repr__(self) -> str:
         return f"BoxBounds(dim={self.dim})"

@@ -22,14 +22,10 @@ from .problem import QuadraticProblem
 __all__ = [
     "StepsizeUndefinedError",
     "StepsizeMemory",
-    "sd_stepsize",
-    "aopt_stepsize",
-    "bb_stepsizes",
     "yuan_stepsize",
     "bar_alpha_direct",
     "hat_alpha_direct",
     "modified_y",
-    "bar_bb_stepsizes",
     "p_stepsize",
     "bar_alpha_general",
 ]
@@ -44,9 +40,9 @@ class StepsizeMemory:
     """Rolling per-run state feeding the memory-based stepsize rules.
 
     ``push`` advances the memory by one iterate. With the newest gradient
-    g_k stored in ``g_cur``, the fields hold: the previous gradient and
-    the step/gradient differences s_{k-1}, y_{k-1}, the masked difference
-    ybar_{k-1}, their squared norms s's and ybar'ybar, the last two
+    g_k stored in ``g_cur``, the fields hold: the previous gradient, the
+    gradient difference y_{k-1}, the squared norms s's and ybar'ybar of
+    the step s_{k-1} and of the masked difference ybar_{k-1}, the last two
     stepsizes actually taken, gradient norms at k, k-1, k-2, and the
     masked-difference BB pair for the two most recent (s, y) records. A
     memory instance belongs to exactly one solver run.
@@ -54,9 +50,7 @@ class StepsizeMemory:
 
     g_prev: np.ndarray | None = None
     g_cur: np.ndarray | None = None
-    s_prev: np.ndarray | None = None
     y_prev: np.ndarray | None = None
-    ybar_prev: np.ndarray | None = None
     ss_prev: float | None = None
     ybar_sq_prev: float | None = None
     alpha_prev: float | None = None
@@ -108,45 +102,14 @@ class StepsizeMemory:
 
         self.g_cur = g_new
         self.gnorm_cur = math.sqrt(g_new.dot(g_new))
-        self.s_prev = s_new
         self.y_prev = g_new - self.g_prev
-        self.ybar_prev = ybar = modified_y(s_new, self.y_prev)
+        ybar = modified_y(s_new, self.y_prev)
 
         sty = float(s_new.dot(ybar))
         self.ss_prev = float(s_new.dot(s_new))
         self.ybar_sq_prev = yty = float(ybar.dot(ybar))
         self.barbb1_cur = self.ss_prev / sty if sty != 0.0 else None
         self.barbb2_cur = sty / yty if yty != 0.0 else None
-
-
-def sd_stepsize(g: np.ndarray, p: QuadraticProblem) -> float:
-    """Exact line-search (Cauchy) stepsize g'g / g'Ag."""
-    gg = float(g @ g)
-    if gg == 0.0:
-        raise StepsizeUndefinedError("zero gradient")
-    return gg / float(g @ p.apply(g))
-
-
-def aopt_stepsize(g: np.ndarray, p: QuadraticProblem) -> float:
-    """Norm-quotient stepsize ||g|| / ||Ag||, at most the Cauchy stepsize."""
-    gn = float(np.linalg.norm(g))
-    if gn == 0.0:
-        raise StepsizeUndefinedError("zero gradient")
-    return gn / float(np.linalg.norm(p.apply(g)))
-
-
-def bb_stepsizes(mem: StepsizeMemory) -> tuple[float, float]:
-    """Barzilai-Borwein pair (s's/s'y, s'y/y'y) from the last step."""
-    if not mem.warm:
-        raise StepsizeUndefinedError("memory cold: no step recorded")
-    s, y = mem.s_prev, mem.y_prev
-    sty = float(s @ y)
-    yty = float(y @ y)
-    if yty == 0.0:
-        raise StepsizeUndefinedError("zero gradient difference: both BB stepsizes undefined")
-    if sty == 0.0:
-        raise StepsizeUndefinedError("s'y = 0: first BB stepsize undefined")
-    return float(s @ s) / sty, sty / yty
 
 
 def yuan_stepsize(sd_prev: float, sd_cur: float, gnorm_prev: float, gnorm_cur: float) -> float:
@@ -205,34 +168,18 @@ def modified_y(s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(s == 0.0, 0.0, y)
 
 
-def bar_bb_stepsizes(s: np.ndarray, ybar: np.ndarray) -> tuple[float, float]:
-    """BB pair computed against a masked gradient difference.
+def p_stepsize(mem: StepsizeMemory) -> float:
+    """Norm-ratio stepsize ||s||/||ybar||, the geometric mean of the masked BB pair.
 
-    The first value coincides with the unmasked BB1 (masked coordinates
-    contribute nothing to s'y); only the second changes under masking.
-    """
-    sty = float(s @ ybar)
-    yty = float(ybar @ ybar)
-    if yty == 0.0:
-        raise StepsizeUndefinedError("masked difference is zero: pair undefined")
-    if sty == 0.0:
-        raise StepsizeUndefinedError("s'ybar = 0: first stepsize undefined")
-    return float(s @ s) / sty, sty / yty
-
-
-def p_stepsize(mem: StepsizeMemory, use_modified_y: bool = False) -> float:
-    """Norm-ratio stepsize ||s||/||y||, the geometric mean of the BB pair.
-
-    With ``use_modified_y`` the masked difference replaces y, which is the
-    form suited to bound-constrained runs where bound-locked coordinates
-    should not pollute the curvature estimate.
+    The masked difference ybar replaces y, so that bound-locked
+    coordinates do not pollute the curvature estimate; with no coordinate
+    locked, ybar = y and this is ||s||/||y||.
     """
     if not mem.warm:
         raise StepsizeUndefinedError("memory cold: no step recorded")
-    yy = mem.ybar_sq_prev if use_modified_y else float(mem.y_prev.dot(mem.y_prev))
-    if yy == 0.0:
+    if mem.ybar_sq_prev == 0.0:
         raise StepsizeUndefinedError("zero gradient difference")
-    return math.sqrt(mem.ss_prev) / math.sqrt(yy)
+    return math.sqrt(mem.ss_prev) / math.sqrt(mem.ybar_sq_prev)
 
 
 def bar_alpha_general(mem: StepsizeMemory) -> float:

@@ -27,16 +27,13 @@ from specgrad.problem import QuadraticProblem
 from specgrad.qp_engine import StrategySpec, run
 from specgrad.stepsize import (
     StepsizeMemory,
-    aopt_stepsize,
     bar_alpha_direct,
     bar_alpha_general,
-    bar_bb_stepsizes,
-    bb_stepsizes,
-    modified_y,
     p_stepsize,
-    sd_stepsize,
 )
 from specgrad.suite import make_suite
+
+from reference import aopt_stepsize, bb_pair, sd_stepsize
 
 KAPPAS = (1e4, 1e5, 1e6)
 SEEDS = tuple(range(1, 11))
@@ -79,7 +76,7 @@ def aopt_reference_run():
 
 def test_criterion_01_spectral_limit(aopt_reference_run):
     problem, trace, elapsed = aopt_reference_run
-    lam_n = float(problem.diagonal.max())
+    lam_n = float(problem.hessian.max())
     best = math.inf
     for k in range(2, 101):
         bar = bar_alpha_direct(trace.gradients[k - 2], trace.gradients[k - 1], problem)
@@ -90,8 +87,8 @@ def test_criterion_01_spectral_limit(aopt_reference_run):
 
 def test_criterion_02_aopt_limit(aopt_reference_run):
     problem, trace, elapsed = aopt_reference_run
-    lam1 = float(problem.diagonal.min())
-    lam_n = float(problem.diagonal.max())
+    lam1 = float(problem.hessian.min())
+    lam_n = float(problem.hessian.max())
     worst = 0.0
     for k in range(200, 301):
         a = aopt_stepsize(trace.gradients[k - 1], problem)
@@ -102,8 +99,8 @@ def test_criterion_02_aopt_limit(aopt_reference_run):
 
 def test_criterion_03_slow_companion_and_component_limits(aopt_reference_run):
     problem, trace, _ = aopt_reference_run
-    lam1 = float(problem.diagonal.min())
-    lam_n = float(problem.diagonal.max())
+    lam1 = float(problem.hessian.min())
+    lam_n = float(problem.hessian.max())
     from specgrad.stepsize import hat_alpha_direct
 
     hat_close = 0
@@ -377,7 +374,7 @@ def test_criterion_11_stepsize_orderings():
         g0 = np.zeros(8)
         mem.start(g0)
         mem.push(y.copy(), s, alpha_used=1.0)
-        bb1, bb2 = bb_stepsizes(mem)
+        bb1, bb2 = bb_pair(s, y)
         pval = p_stepsize(mem)
         ok = ok and (bb2 <= pval * (1 + 1e-12)) and (pval <= bb1 * (1 + 1e-12))
         gap = abs(pval - math.sqrt(bb1 * bb2)) / pval

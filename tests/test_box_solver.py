@@ -17,6 +17,8 @@ from specgrad.generators import SpectrumSpec, gen_diag_problem
 from specgrad.problem import BoxBounds, ObjectiveOracle, QuadraticProblem
 from specgrad.stepsize import bar_alpha_direct
 
+from reference import contains, free_bounds
+
 
 def quad_oracle(diag, b=None):
     return QuadraticProblem(np.asarray(diag, dtype=float), b).as_oracle()
@@ -24,7 +26,7 @@ def quad_oracle(diag, b=None):
 
 class TestDirection:
     def test_free_coordinates(self):
-        b = BoxBounds.free(3)
+        b = free_bounds(3)
         x = np.array([1.0, 2.0, 3.0])
         g = np.array([0.5, -1.0, 2.0])
         np.testing.assert_allclose(direction(x, g, 2.0, b), -2.0 * g)
@@ -41,7 +43,7 @@ class TestDirection:
 
     def test_alpha_positive_required(self):
         with pytest.raises(ValueError):
-            direction(np.zeros(1), np.ones(1), 0.0, BoxBounds.free(1))
+            direction(np.zeros(1), np.ones(1), 0.0, free_bounds(1))
 
     def test_descent_property(self):
         rng = np.random.default_rng(0)
@@ -154,7 +156,7 @@ class TestSolveBox:
     def test_unconstrained_quadratic(self, variant):
         p = gen_diag_problem(SpectrumSpec("SET1", 40, 1e3, 3))
         cfg = BoxRunConfig(variant=variant)
-        tr = solve_box(p.as_oracle(), BoxBounds.free(40), np.ones(40), cfg)
+        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), cfg)
         assert tr.termination == "gradient_tol"
         assert tr.pg_inf[-1] <= 1e-6
         assert np.linalg.norm(tr.x_final - p.solution()) <= 1e-4
@@ -170,7 +172,7 @@ class TestSolveBox:
         bounds = BoxBounds([0.0, 0.0], [1.0, 1.0])
         tr = solve_box(p.as_oracle(), bounds, np.array([50.0, -50.0]), BoxRunConfig())
         np.testing.assert_allclose(tr.x_final, [1.0, 1.0], atol=1e-8)
-        assert bounds.contains(tr.x_final)
+        assert contains(bounds, tr.x_final)
 
     def test_accepted_steps_satisfy_their_rule(self):
         p = gen_diag_problem(SpectrumSpec("SET3", 50, 1e3, 9))
@@ -187,7 +189,7 @@ class TestSolveBox:
 
     def test_counters_filled(self):
         p = gen_diag_problem(SpectrumSpec("SET1", 30, 1e2, 4))
-        tr = solve_box(p.as_oracle(), BoxBounds.free(30), np.ones(30), BoxRunConfig())
+        tr = solve_box(p.as_oracle(), free_bounds(30), np.ones(30), BoxRunConfig())
         assert tr.func_evals >= tr.iterations
         assert tr.grad_evals == tr.iterations + 1
         summary = tr.summary()
@@ -209,7 +211,7 @@ class TestSolveBox:
         labels = set()
         for seed in (1, 2, 3):
             p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e4, seed))
-            tr = solve_box(p.as_oracle(), BoxBounds.free(40), np.ones(40),
+            tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40),
                            BoxRunConfig(h=4, s=4))
             labels.update(tr.branch)
         assert {"long", "short_min"} <= labels
@@ -228,7 +230,7 @@ class TestSolveBox:
             return g
 
         oracle.grad = recording_grad
-        tr = solve_box(oracle, BoxBounds.free(40), np.ones(40), BoxRunConfig(h=4, s=6))
+        tr = solve_box(oracle, free_bounds(40), np.ones(40), BoxRunConfig(h=4, s=6))
         gnorm1 = float(np.linalg.norm(grads[0]))
         checked = 0
         for rec in tr.ls_records:
@@ -260,9 +262,9 @@ class TestSolveBox:
 
         oracle.grad = recording_grad
         tr = solve_box(oracle, bounds, bounds.project(np.zeros(30)), BoxRunConfig())
-        assert bounds.contains(tr.x_final)
+        assert contains(bounds, tr.x_final)
         for x in seen:
-            assert bounds.contains(x)
+            assert contains(bounds, x)
 
     def test_stepsize_safeguard_disjunction(self):
         # every alpha fed to direction() is either clamped into
@@ -306,7 +308,7 @@ class TestFailureEndings:
     def test_nonfinite_start_diverges(self):
         p = QuadraticProblem(np.arange(1.0, 6.0), np.ones(5))
         oracle, accepted = recording_oracle(lambda x: math.inf, p.gradient)
-        tr = solve_box(oracle, BoxBounds.free(5), np.zeros(5), BoxRunConfig())
+        tr = solve_box(oracle, free_bounds(5), np.zeros(5), BoxRunConfig())
         self.check(tr, oracle, accepted, "diverged", "nonfinite objective at the starting point")
         assert tr.iterations == 0 and oracle.eval_count == 1
 
@@ -319,7 +321,7 @@ class TestFailureEndings:
             return -math.inf if len(calls) == 5 else p.objective(x)
 
         oracle, accepted = recording_oracle(f, p.gradient)
-        tr = solve_box(oracle, BoxBounds.free(5), np.zeros(5), BoxRunConfig())
+        tr = solve_box(oracle, free_bounds(5), np.zeros(5), BoxRunConfig())
         self.check(tr, oracle, accepted, "diverged", f"nonfinite objective at iteration {tr.iterations + 1}")
         assert tr.iterations >= 1 and oracle.eval_count == 5
         assert np.isfinite(tr.f).all() and tr.f[-1] == p.objective(tr.x_final)
@@ -334,7 +336,7 @@ class TestFailureEndings:
             return math.nan if len(calls) > 3 else p.objective(x)
 
         oracle, accepted = recording_oracle(f, p.gradient)
-        tr = solve_box(oracle, BoxBounds.free(5), np.zeros(5), BoxRunConfig(variant=variant))
+        tr = solve_box(oracle, free_bounds(5), np.zeros(5), BoxRunConfig(variant=variant))
         self.check(tr, oracle, accepted, "line_search_failed", f"no acceptable step after {MAX_BACKTRACKS} backtracks")
         assert tr.iterations >= 1
         # the start, each accepted search, then the failed one: a trial and 50 backtracks
@@ -348,7 +350,7 @@ class TestFailureEndings:
         p = QuadraticProblem(np.ones(3))
         oracle, accepted = recording_oracle(p.objective, p.gradient)
         cfg = BoxRunConfig(variant=variant, alpha_min=1e-40, alpha_max=1e-30)
-        tr = solve_box(oracle, BoxBounds.free(3), np.ones(3), cfg)
+        tr = solve_box(oracle, free_bounds(3), np.ones(3), cfg)
         self.check(tr, oracle, accepted, "line_search_failed", "no descent direction")
         assert tr.iterations == 0 and oracle.eval_count == 1
 
@@ -356,7 +358,7 @@ class TestFailureEndings:
 class TestSolveSpg:
     def test_identity_quadratic_fast(self):
         p = QuadraticProblem(np.ones(4), np.array([1.0, -1.0, 2.0, 0.0]))
-        tr = solve_box(p.as_oracle(), BoxBounds.free(4), np.zeros(4), BoxRunConfig(variant="SPG", M=10))
+        tr = solve_box(p.as_oracle(), free_bounds(4), np.zeros(4), BoxRunConfig(variant="SPG", M=10))
         assert tr.termination == "gradient_tol"
         assert tr.iterations <= 2
 
@@ -368,12 +370,12 @@ class TestSolveSpg:
 
     def test_dispatch_through_solve_box(self):
         p = QuadraticProblem(np.ones(3))
-        tr = solve_box(p.as_oracle(), BoxBounds.free(3), np.ones(3), BoxRunConfig(variant="SPG"))
+        tr = solve_box(p.as_oracle(), free_bounds(3), np.ones(3), BoxRunConfig(variant="SPG"))
         assert tr.termination == "gradient_tol"
 
     def test_accepted_steps_satisfy_armijo(self):
         p = gen_diag_problem(SpectrumSpec("SET2", 30, 1e3, 5))
-        tr = solve_box(p.as_oracle(), BoxBounds.free(30), np.ones(30),
+        tr = solve_box(p.as_oracle(), free_bounds(30), np.ones(30),
                        BoxRunConfig(variant="SPG", M=10))
         for rec in tr.ls_records:
             assert rec["f_new"] <= rec["f_max"] + rec["sigma"] * rec["lam"] * rec["gd"]
@@ -388,7 +390,7 @@ class TestSolveSpg:
             calls.append(None)
             return float("nan") if len(calls) == 2 else p.objective(x)
 
-        tr = solve_box(ObjectiveOracle(f, p.gradient), BoxBounds.free(5), np.zeros(5),
+        tr = solve_box(ObjectiveOracle(f, p.gradient), free_bounds(5), np.zeros(5),
                        BoxRunConfig(variant="SPG"))
         first = tr.ls_records[0]
         assert not first["unit"] and first["lam"] < 1.0
@@ -410,7 +412,7 @@ class TestSharedBoxLoop:
         # count a second masked difference formed by the solver itself, too
         monkeypatch.setattr(box_solver, "modified_y", counting, raising=False)
         p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 7))
-        tr = solve_box(p.as_oracle(), BoxBounds.free(40), np.ones(40), BoxRunConfig(variant=variant, h=4, s=4))
+        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant=variant, h=4, s=4))
         assert tr.iterations > 10
         assert len(calls) == tr.iterations
 
@@ -418,6 +420,6 @@ class TestSharedBoxLoop:
         pushes = []
         monkeypatch.setattr(stepsize.StepsizeMemory, "push", lambda *a, **k: pushes.append(None))
         p = gen_diag_problem(SpectrumSpec("SET1", 30, 1e2, 4))
-        tr = solve_box(p.as_oracle(), BoxBounds.free(30), np.ones(30), BoxRunConfig(variant="SPG"))
+        tr = solve_box(p.as_oracle(), free_bounds(30), np.ones(30), BoxRunConfig(variant="SPG"))
         assert tr.termination == "gradient_tol"
         assert pushes == [] and set(tr.branch) <= {"bb", "sy_nonpos"}

@@ -168,10 +168,13 @@ def test_gen_requires_family_or_kind(tmp_path):
 
 @pytest.mark.parametrize("mode", ["diag", "dense", "diag_equiv"])
 def test_solve_counts_match_the_plan_row(tmp_path, capsys, mode):
-    # solve and bench build the same problem and start from one descriptor
+    # gen writes the descriptor a plan entry holds; solve and bench build
+    # the same problem and start from it
     desc = {"family": "SET2", "n": 40, "kappa": 1e3, "seed": 7, "mode": mode}
     problem = tmp_path / "p.json"
-    problem.write_text(json.dumps(desc))
+    assert main(["gen", "--family", "SET2", "--n", "40", "--kappa", "1e3", "--seed", "7",
+                 "--mode", mode, "--out", str(problem)]) == 0
+    assert json.loads(problem.read_text()) == desc
     assert main(["solve", "--problem", str(problem), "--strategy", "NEWS", "--h", "4", "--s", "6",
                  "--eps", "1e-8", "--out", str(tmp_path / "t.csv")]) == 0
     solved = json.loads(capsys.readouterr().out)
@@ -195,8 +198,13 @@ def test_family_descriptor_with_kind_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "desc, key",
-    [({"family": "SET1", "mode": "dense"}, "'n'"), ({"kind": "laplace3d", "variant": "A"}, "'N'")],
-    ids=["family-no-n", "laplace-no-N"],
+    [
+        ({"family": "SET1", "mode": "dense"}, "'n'"),
+        ({"kind": "laplace3d", "variant": "A"}, "'N'"),
+        ({"kind": "diag", "b": [1, 2]}, "'eigenvalues'"),
+        ({"kind": "sparse", "n": 2, "rows": [0, 1], "cols": [0, 1]}, "'vals'"),
+    ],
+    ids=["family-no-n", "laplace-no-N", "diag-no-eigenvalues", "sparse-no-vals"],
 )
 def test_descriptor_missing_a_key_exits_1(tmp_path, capsys, desc, key):
     problem = tmp_path / "p.json"

@@ -42,14 +42,14 @@ class TestSpecs:
 class TestDiagGenerator:
     def test_tp1_endpoints_and_interior(self):
         p = gen_diag_problem(SpectrumSpec("TP1", 5, 5.0, 123))
-        d = p.diagonal
+        d = p.hessian
         assert d[0] == 1.0 and d[-1] == 5.0
         assert np.all(d[1:-1] >= 1.0) and np.all(d[1:-1] <= 5.0)
         assert np.all(p.b == 0.0)
 
     def test_set1_range(self):
         p = gen_diag_problem(SpectrumSpec("SET1", 100, 1e5, 7))
-        d = p.diagonal
+        d = p.hessian
         assert d[0] == 1.0 and d[-1] == 1e5
         assert np.all(d[1:-1] >= 1.0) and np.all(d[1:-1] <= 1e5)
         assert np.all(np.abs(p.b) <= 10.0) and np.any(p.b != 0.0)
@@ -65,7 +65,7 @@ class TestDiagGenerator:
     )
     def test_clustered_segment_ranges(self, family, segments):
         p = gen_diag_problem(SpectrumSpec(family, 1000, 1e5, 11))
-        d = p.diagonal
+        d = p.hessian
         assert d[0] == 1.0 and d[-1] == 1e5
         for lo_idx, hi_idx, lo, hi in segments:
             seg = d[lo_idx - 1 : hi_idx]
@@ -74,13 +74,13 @@ class TestDiagGenerator:
     def test_seed_determinism(self):
         spec = SpectrumSpec("SET2", 300, 1e4, 99)
         p1, p2 = gen_diag_problem(spec), gen_diag_problem(spec)
-        np.testing.assert_array_equal(p1.diagonal, p2.diagonal)
+        np.testing.assert_array_equal(p1.hessian, p2.hessian)
         np.testing.assert_array_equal(p1.b, p2.b)
 
     def test_distinct_seeds_distinct_problems(self):
         a = gen_diag_problem(SpectrumSpec("SET1", 50, 1e3, 1))
         b = gen_diag_problem(SpectrumSpec("SET1", 50, 1e3, 2))
-        assert not np.array_equal(a.diagonal, b.diagonal)
+        assert not np.array_equal(a.hessian, b.hessian)
 
 
 class TestRotatedGenerator:
@@ -89,7 +89,7 @@ class TestRotatedGenerator:
         dense = gen_rotated_problem(spec)
         diag = gen_diag_problem(spec)
         eig = np.linalg.eigvalsh(dense.hessian)
-        assert np.allclose(np.sort(eig), np.sort(diag.diagonal), rtol=1e-8)
+        assert np.allclose(np.sort(eig), np.sort(diag.hessian), rtol=1e-8)
 
     def test_orthogonality_and_normalization(self):
         rng = np.random.default_rng(21)
@@ -227,18 +227,18 @@ class TestGenInstance:
     def test_diag_equiv_starts_from_the_rotated_ones(self):
         p, x1, labels = gen_instance(dict(self.DESC, mode="diag_equiv"))
         twin, start = gen_rotated_equivalent(SpectrumSpec("SET3", 20, 1e3, 5), np.ones(20))
-        np.testing.assert_array_equal(p.diagonal, twin.diagonal)
+        np.testing.assert_array_equal(p.hessian, twin.hessian)
         np.testing.assert_array_equal(p.b, twin.b)
         np.testing.assert_array_equal(x1, start)
         assert labels == {"family": "SET3", "kappa": 1e3}
 
     def test_seed_overrides_the_descriptor(self):
         p, _, _ = gen_instance(self.DESC, seed=6)
-        np.testing.assert_array_equal(p.diagonal, gen_diag_problem(SpectrumSpec("SET3", 20, 1e3, 6)).diagonal)
+        np.testing.assert_array_equal(p.hessian, gen_diag_problem(SpectrumSpec("SET3", 20, 1e3, 6)).hessian)
 
     def test_explicit_arrays_start_from_ones(self):
         p, x1, labels = gen_instance({"kind": "diag", "eigenvalues": [1.0, 4.0], "b": [1.0, 1.0]})
-        np.testing.assert_array_equal(p.diagonal, [1.0, 4.0])
+        np.testing.assert_array_equal(p.hessian, [1.0, 4.0])
         np.testing.assert_array_equal(x1, np.ones(2))
         assert labels == {"family": "diag", "kappa": ""}
 

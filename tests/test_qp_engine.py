@@ -31,14 +31,9 @@ from specgrad.qp_engine import (
     run_many,
     stepsize_history_diagnostic,
 )
-from specgrad.stepsize import (
-    StepsizeMemory,
-    aopt_stepsize,
-    bar_alpha_direct,
-    bb_stepsizes,
-    sd_stepsize,
-    yuan_stepsize,
-)
+from specgrad.stepsize import bar_alpha_direct, yuan_stepsize
+
+from reference import aopt_stepsize, bb_pair, sd_stepsize
 
 
 def small_problem(seed=0, n=60, kappa=100.0, family="TP1"):
@@ -156,7 +151,7 @@ class TestStepsizeBehavior:
     def test_news_family_alphas_within_spectrum(self):
         for method in ("NEWS0", "NEWS", "NEWS2", "NEWS3", "NEWS4"):
             p = small_problem(4, n=50, kappa=200.0)
-            d = p.diagonal
+            d = p.hessian
             tr = run(p, np.ones(50), StrategySpec(method, h=4, s=9), eps=1e-10)
             assert np.all(tr.alpha >= 1.0 / d.max() - 1e-12)
             assert np.all(tr.alpha <= 1.0 / d.min() + 1e-12)
@@ -270,15 +265,13 @@ class TestDiagnostics:
 
 def _bb_pair(tr, i):
     """BB pair for step i from the retained gradients and the step before it."""
-    mem = StepsizeMemory()
-    mem.start(tr.gradients[i - 1])
-    mem.push(tr.gradients[i], -tr.alpha[i - 1] * tr.gradients[i - 1], alpha_used=tr.alpha[i - 1])
-    return bb_stepsizes(mem)
+    return bb_pair(-tr.alpha[i - 1] * tr.gradients[i - 1], tr.gradients[i] - tr.gradients[i - 1])
 
 
 def _reference_alphas(method, tr, p, spec):
     """Every alpha_k, branch label and relative tolerance, recomputed from the
-    retained gradients with the reference formulas of ``specgrad.stepsize``.
+    retained gradients with the reference formulas (``reference`` for SD, AOPT
+    and the BB pair, ``specgrad.stepsize`` for the rest).
 
     The engine forms the spectral quotient from cached products through
     2 - 2cos(g_prev, g_cur), which loses up to a few digits to cancellation

@@ -9,17 +9,15 @@ from specgrad.qp_engine import StrategySpec, run
 from specgrad.stepsize import (
     StepsizeMemory,
     StepsizeUndefinedError,
-    aopt_stepsize,
     bar_alpha_direct,
     bar_alpha_general,
-    bar_bb_stepsizes,
-    bb_stepsizes,
     hat_alpha_direct,
     modified_y,
     p_stepsize,
-    sd_stepsize,
     yuan_stepsize,
 )
+
+from reference import aopt_stepsize, bb_pair, sd_stepsize
 
 
 def mem_from(s, y, alpha=1.0):
@@ -87,10 +85,10 @@ class TestAopt:
 
 class TestBB:
     def test_equal_vectors(self):
-        assert bb_stepsizes(mem_from([1.0, 1.0], [1.0, 1.0])) == (1.0, 1.0)
+        assert bb_pair(np.array([1.0, 1.0]), np.array([1.0, 1.0])) == (1.0, 1.0)
 
     def test_hand_values(self):
-        bb1, bb2 = bb_stepsizes(mem_from([1.0, 1.0], [1.0, 2.0]))
+        bb1, bb2 = bb_pair(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
         assert bb1 == pytest.approx(2.0 / 3.0, rel=1e-15)
         assert bb2 == pytest.approx(3.0 / 5.0, rel=1e-15)
 
@@ -101,18 +99,17 @@ class TestBB:
         alpha = 0.05
         s = -alpha * g
         y = -alpha * p.apply(g)
-        bb1, bb2 = bb_stepsizes(mem_from(s, y, alpha))
+        bb1, bb2 = bb_pair(s, y)
         assert bb1 == pytest.approx(sd_stepsize(g, p), rel=1e-12)
         w = p.apply(g)
         assert bb2 == pytest.approx(float(g @ w) / float(w @ w), rel=1e-12)
 
     def test_degenerate(self):
         with pytest.raises(StepsizeUndefinedError):
-            bb_stepsizes(mem_from([1.0, 0.0], [0.0, 1.0]))  # s'y == 0
+            bb_pair(np.array([1.0, 0.0]), np.array([0.0, 1.0]))  # s'y == 0
         with pytest.raises(StepsizeUndefinedError):
-            bb_stepsizes(mem_from([1.0, 0.0], [0.0, 0.0]))  # y == 0
-        with pytest.raises(StepsizeUndefinedError):
-            bb_stepsizes(StepsizeMemory())  # cold
+            bb_pair(np.array([1.0, 0.0]), np.array([0.0, 0.0]))  # y == 0
+        assert StepsizeMemory().barbb1_cur is None  # cold: no pair recorded
 
     def test_cauchy_schwarz_order(self):
         rng = np.random.default_rng(3)
@@ -120,7 +117,7 @@ class TestBB:
             s, y = rng.standard_normal((2, 10))
             if float(s @ y) <= 0.0:
                 continue
-            bb1, bb2 = bb_stepsizes(mem_from(s, y))
+            bb1, bb2 = bb_pair(s, y)
             assert 0.0 < bb2 <= bb1 * (1 + 1e-12)
 
 
@@ -241,30 +238,33 @@ class TestModifiedY:
 
 
 class TestBarBB:
+    # the masked pair the box solver reads from its memory, against bb_pair
+
     def test_unmasked_equals_plain(self):
         s = np.array([1.0, 1.0])
         y = np.array([1.0, 2.0])
-        assert bar_bb_stepsizes(s, modified_y(s, y)) == bb_stepsizes(mem_from(s, y))
+        mem = mem_from(s, y)
+        assert (mem.barbb1_cur, mem.barbb2_cur) == bb_pair(s, y)
 
     def test_masked_bb1_unchanged(self):
         s = np.array([0.0, 1.0])
         y = np.array([5.0, 3.0])
-        bb1m, bb2m = bar_bb_stepsizes(s, modified_y(s, y))
-        bb1, bb2 = bb_stepsizes(mem_from(s, y))
+        bb1m = mem_from(s, y).barbb1_cur
+        bb1, bb2 = bb_pair(s, y)
         assert bb1m == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert bb1 == pytest.approx(bb1m, rel=1e-15)
 
     def test_masked_bb2_changes(self):
         s = np.array([0.0, 1.0])
         y = np.array([5.0, 3.0])
-        _, bb2m = bar_bb_stepsizes(s, modified_y(s, y))
-        _, bb2 = bb_stepsizes(mem_from(s, y))
+        bb2m = mem_from(s, y).barbb2_cur
+        _, bb2 = bb_pair(s, y)
         assert bb2m == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert bb2 == pytest.approx(3.0 / 34.0, rel=1e-15)
 
     def test_zero_mask_degenerate(self):
-        with pytest.raises(StepsizeUndefinedError):
-            bar_bb_stepsizes(np.zeros(2), np.zeros(2))
+        mem = mem_from(np.zeros(2), np.zeros(2))
+        assert mem.barbb1_cur is None and mem.barbb2_cur is None
 
 
 class TestPStepsize:
@@ -274,7 +274,7 @@ class TestPStepsize:
     def test_geometric_mean(self):
         mem = mem_from([1.0, 1.0], [1.0, 2.0])
         v = p_stepsize(mem)
-        bb1, bb2 = bb_stepsizes(mem)
+        bb1, bb2 = bb_pair(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
         assert v == pytest.approx(math.sqrt(2.0 / 5.0), rel=1e-14)
         assert v == pytest.approx(math.sqrt(bb1 * bb2), rel=1e-14)
 
@@ -290,8 +290,7 @@ class TestPStepsize:
         s = np.array([0.0, 1.0])
         y = np.array([5.0, 3.0])
         mem = mem_from(s, y)
-        assert p_stepsize(mem, use_modified_y=True) == pytest.approx(1.0 / 3.0, rel=1e-14)
-        assert p_stepsize(mem) == pytest.approx(1.0 / math.sqrt(34.0), rel=1e-14)
+        assert p_stepsize(mem) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_cold(self):
         with pytest.raises(StepsizeUndefinedError):
@@ -307,9 +306,9 @@ class TestPStepsize:
             if float(s @ ybar) <= 0.0:
                 continue
             checked += 1
-            bb1m, bb2m = bar_bb_stepsizes(s, ybar)
+            bb1m, bb2m = bb_pair(s, ybar)
             mem = mem_from(s, y)
-            pm = p_stepsize(mem, use_modified_y=True)
+            pm = p_stepsize(mem)
             assert bb2m <= pm * (1 + 1e-12)
             assert pm <= bb1m * (1 + 1e-12)
 

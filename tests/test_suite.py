@@ -1,6 +1,8 @@
 import numpy as np
 from specgrad.suite import make_suite, rosenbrock_fg, trigonometric_fg
 
+from reference import contains
+
 
 def central_difference(f, x, h=1e-6):
     g = np.zeros_like(x)
@@ -21,7 +23,7 @@ class TestSuiteRoster:
 
     def test_feasible_starts(self):
         for e in make_suite():
-            assert e.bounds.contains(e.x1)
+            assert contains(e.bounds, e.x1)
 
     def test_fresh_oracles(self):
         e = make_suite()[0]
