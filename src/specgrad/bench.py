@@ -1,17 +1,18 @@
 """Experiment runner: problem/strategy grids, result tables, performance profiles.
 
 A plan is a JSON document listing problem descriptors (with seed lists),
-strategies, and tolerances. ``run_plan`` executes the grid one instance
-after another and returns rows in a deterministic key order, so result
-CSVs are byte-identical from run to run. Each quadratic (descriptor,
-seed) instance is built once, with its start and row labels, by
-``generators.gen_instance``, the one reader of the problem descriptor
-format that plans share with the CLI; all of its strategies run in one
-``qp_engine.run_many`` call, one trajectory each, at the smallest
-tolerance: every tolerance's row is read off that trajectory. Quadratic
-rows do not depend on the BLAS thread count (see ``qp_engine``); box
-rows may, so pin it when comparing their CSVs across machines. The
-reproducible metrics are iteration and function-evaluation counts.
+strategies, and tolerances. ``run_plan`` executes the grid one problem
+instance after another and returns rows in a deterministic key order, so
+result CSVs are byte-identical from run to run. An instance is a
+quadratic (descriptor, seed), built once with its start and row labels
+by ``generators.gen_instance`` (the one reader of the problem descriptor
+format that plans share with the CLI), or an entry of the bound-
+constrained suite. Each of its strategies runs once, at the smallest
+tolerance (the quadratic ones in one ``qp_engine.run_many`` call), and
+every tolerance's row is read off that trajectory. Quadratic rows do not
+depend on the BLAS thread count (see ``qp_engine``); box rows may, so pin
+it when comparing their CSVs across machines. The reproducible metrics
+are iteration and function-evaluation counts.
 """
 
 from __future__ import annotations
@@ -69,7 +70,10 @@ class ExperimentPlan:
     the bound-constrained suite. Family and laplace3d entries are checked
     at load (see ``generators.family_spec`` and ``laplace_spec``).
     ``strategies`` entries carry {"method", "h", "s", ...} for the
-    quadratic engine or {"variant", ...} for the box solvers.
+    quadratic engine or {"variant", ...} for the box solvers; every
+    strategy must suit every problem entry, and a box entry takes its
+    tolerance and cap from the plan (it may not set ``eps_pg`` or
+    ``max_iter``). A plan that breaks a rule raises ``ValueError`` at load.
     """
 
     problems: list[dict]
@@ -90,7 +94,9 @@ class ExperimentPlan:
             if "method" in s:
                 StrategySpec(**s)
             elif "variant" in s:
-                box_solver.BoxRunConfig(**{k: v for k, v in s.items()})
+                if override := sorted({"eps_pg", "max_iter"} & s.keys()):
+                    raise ValueError(f"box strategy sets {override}; the plan's tolerances and iter_cap apply")
+                box_solver.BoxRunConfig(**s)
             else:
                 raise ValueError(f"strategy entry needs 'method' or 'variant': {s!r}")
         for p in self.problems:
@@ -100,6 +106,15 @@ class ExperimentPlan:
                 laplace_spec(p)
             elif p.get("kind") != "box_suite":
                 raise ValueError(f"problem entry needs 'family' or a known 'kind': {p!r}")
+        box = [p.get("kind") == "box_suite" for p in self.problems]
+        if any(box) and any("variant" not in s for s in self.strategies):
+            raise ValueError("box_suite problems need box-solver strategies")
+        if not all(box) and any("method" not in s for s in self.strategies):
+            raise ValueError("quadratic problems need quadratic strategies")
+        if not all(box) and not all(0.0 < eps < 1.0 for eps in self.tolerances):
+            raise ValueError("quadratic tolerances must lie in (0, 1)")
+        if any(math.isnan(eps) for eps in self.tolerances):
+            raise ValueError("tolerances must not be NaN")
 
     @staticmethod
     def from_json(desc: dict) -> "ExperimentPlan":
@@ -119,109 +134,89 @@ class ExperimentPlan:
             return ExperimentPlan.from_json(json.load(fh))
 
 
-def _run_quadratic_instance(desc: dict, seed: int, plan: ExperimentPlan) -> list[dict]:
-    """Rows of every (strategy, tolerance) cell on one built instance,
-    whose strategies run as one lockstep block."""
-    problem, x1, meta = gen_instance(desc, seed)
-    specs = [StrategySpec(**strat) for strat in plan.strategies]
-    traces = qp_engine.run_many(problem, x1, specs, eps=min(plan.tolerances), max_iter=plan.iter_cap)
-    rows = []
-    for spec, trace in zip(specs, traces):
-        gnorm = trace.gnorm
-        for eps in plan.tolerances:
-            # the engine's stop test: the first i with ||g_i|| <= eps ||g_1||
-            crossed = np.flatnonzero(gnorm <= eps * gnorm[0])
-            if crossed.size:
-                iters, termination = int(crossed[0]), "gradient_tol"
-            else:
-                # capped or failed: the row keeps the cap, so summaries count it as before
-                iters, termination = plan.iter_cap, trace.termination
-            rows.append(
-                {
-                    "family": meta["family"],
-                    "kappa": meta["kappa"],
-                    "eps": eps,
-                    "method": spec.method,
-                    "h": spec.h if spec.method in HS_METHODS else "",
-                    "s": spec.s if spec.method in HS_METHODS else "",
-                    "seed": seed,
-                    "iters": iters,
-                    "func_evals": 0,
-                    "termination": termination,
-                }
-            )
-    return rows
-
-
-def _run_one_box(entry, strat: dict, eps: float, iter_cap: int) -> dict:
-    params = dict(strat)
-    params.setdefault("eps_pg", eps)
-    params.setdefault("max_iter", iter_cap)
-    cfg = box_solver.BoxRunConfig(**params)
-    trace = box_solver.solve_box(entry.oracle_factory(), entry.bounds, entry.x1, cfg)
-    return {
-        "family": entry.name,
-        "kappa": "",
-        "eps": cfg.eps_pg,
-        "method": cfg.variant,
-        "h": cfg.h if cfg.variant != "SPG" else "",
-        "s": cfg.s if cfg.variant != "SPG" else "",
-        "seed": 0,
-        "iters": iter_cap if trace.failure else trace.iterations,
-        "func_evals": trace.func_evals,
-        "termination": trace.termination,
-    }
-
-
 def _plan_jobs(plan: ExperimentPlan) -> list:
-    """One job per box (entry, strategy, tolerance) cell and one per
-    quadratic (descriptor, seed) instance."""
+    """One job per problem instance: a quadratic (descriptor, seed) or a
+    ``box_suite`` entry."""
     jobs = []
     for desc in plan.problems:
         if desc.get("kind") == "box_suite":
-            for entry in make_suite():
-                for strat in plan.strategies:
-                    if "variant" not in strat:
-                        raise ValueError("box_suite problems need box-solver strategies")
-                    for eps in plan.tolerances:
-                        jobs.append(("box", entry, strat, eps))
+            jobs.extend(("box", entry) for entry in make_suite())
         else:
-            if any("method" not in strat for strat in plan.strategies):
-                raise ValueError("quadratic problems need quadratic strategies")
-            if not all(0.0 < eps < 1.0 for eps in plan.tolerances):
-                raise ValueError("quadratic tolerances must lie in (0, 1)")
-            for seed in desc.get("seeds", [desc.get("seed", 0)]):
-                jobs.append(("qp", desc, seed))
+            jobs.extend(("qp", desc, seed) for seed in desc.get("seeds", [desc.get("seed", 0)]))
     return jobs
 
 
+def _rows(trace, plan: ExperimentPlan, family, kappa, method: str, h, s, seed) -> list[dict]:
+    """Every tolerance's row of one (instance, strategy) trajectory, run
+    to the plan's smallest tolerance.
+
+    A row stops at the first iterate whose stop measure meets its eps:
+    ||g_i|| <= eps ||g_1||, or pg_inf[i] <= eps for a box trace. A box row
+    stopped before the last iterate, or on that of a failed run, counts
+    what the shorter run evaluated: 1 + (1 + backtracks) per accepted
+    step. A row not met keeps the cap and the trace's termination."""
+    box = trace.pg_inf is not None
+    measure = trace.pg_inf if box else trace.gnorm
+    # a run whose start is nonfinite fails before its first stop test
+    started = math.isfinite(trace.f[0]) and math.isfinite(trace.gnorm[0])
+    rows = []
+    for eps in plan.tolerances:
+        tol = eps if box else eps * trace.gnorm[0]
+        crossed = np.flatnonzero(measure <= tol) if started else []
+        if len(crossed):
+            iters, func_evals, termination = int(crossed[0]), trace.func_evals, "gradient_tol"
+            if box and (iters < trace.iterations or trace.failure):
+                func_evals = 1 + sum(1 + round(-math.log2(rec["lam"])) for rec in trace.ls_records[:iters])
+        else:
+            iters, func_evals, termination = plan.iter_cap, trace.func_evals, trace.termination
+        rows.append({"family": family, "kappa": kappa, "eps": eps, "method": method, "h": h, "s": s, "seed": seed,
+                     "iters": iters, "func_evals": func_evals, "termination": termination})
+    return rows
+
+
 def _execute(job, plan: ExperimentPlan) -> list[dict]:
-    """Rows of one job; a quadratic instance is dropped when it returns."""
-    if job[0] == "box":
-        _, entry, strat, eps = job
-        return [_run_one_box(entry, strat, eps, plan.iter_cap)]
-    _, desc, seed = job
-    return _run_quadratic_instance(desc, seed, plan)
-
-
-def _row_key(row: dict) -> tuple:
-    return tuple(str(row[k]) for k in RESULT_FIELDS)
+    """Rows of one instance, which is dropped when it returns: each
+    strategy runs once, at the smallest tolerance, and every tolerance's
+    row is read off that trajectory."""
+    eps, cap = min(plan.tolerances), plan.iter_cap
+    if job[0] == "qp":
+        _, desc, seed = job
+        problem, x1, meta = gen_instance(desc, seed)
+        specs = [StrategySpec(**strat) for strat in plan.strategies]
+        # the strategies run as one lockstep block
+        traces = qp_engine.run_many(problem, x1, specs, eps=eps, max_iter=cap)
+        rows = []
+        for sp, trace in zip(specs, traces):
+            h, s = (sp.h, sp.s) if sp.method in HS_METHODS else ("", "")
+            rows += _rows(trace, plan, meta["family"], meta["kappa"], sp.method, h, s, seed)
+        return rows
+    entry, rows = job[1], []
+    for strat in plan.strategies:
+        c = box_solver.BoxRunConfig(**strat, eps_pg=eps, max_iter=cap)
+        h, s = ("", "") if c.variant == "SPG" else (c.h, c.s)
+        # the trace goes straight into _rows, so it and its line-search
+        # records are freed before the next strategy runs
+        rows += _rows(
+            box_solver.solve_box(entry.oracle_factory(), entry.bounds, entry.x1, c),
+            plan, entry.name, "", c.variant, h, s, 0,
+        )
+    return rows
 
 
 def run_plan(plan: ExperimentPlan) -> list[dict]:
     """One row per (problem instance, strategy, tolerance) cell.
 
-    Each quadratic instance is built once and its strategies run as one
-    block, one trajectory each, at the smallest tolerance; every
-    tolerance's row is read off that trajectory, so it equals a run
-    stopped at that tolerance.
-    Box cells run once per tolerance. Failures inside a run are recorded,
-    never raised: ``diverged`` or ``line_search_failed`` rows carry
-    ``iters = iter_cap``, except a tolerance crossed before a divergence,
-    which reads ``gradient_tol``. Rows come back sorted by their result key.
+    Each instance is built once and each of its strategies runs once, at
+    the smallest tolerance; every tolerance's row is read off that
+    trajectory, so it equals a run stopped at that tolerance in
+    iterations, function evaluations and termination. Failures inside a
+    run are recorded, never raised: ``diverged`` or ``line_search_failed``
+    rows carry ``iters = iter_cap``, except a tolerance crossed before the
+    failure, which reads ``gradient_tol``. Rows come back sorted by their
+    result key.
     """
     rows = [row for job in _plan_jobs(plan) for row in _execute(job, plan)]
-    rows.sort(key=_row_key)
+    rows.sort(key=lambda row: tuple(str(row[k]) for k in RESULT_FIELDS))
     return rows
 
 

@@ -27,9 +27,9 @@ f_r = f_max after every accepted step, which turns the search into the
 max-of-last-M Armijo test.
 
 A run that fails is returned, not raised: its trace ends ``diverged`` on
-a nonfinite objective at the start or at an accepted step, and
-``line_search_failed`` when the arc yields no descent direction or the
-search runs out of backtracks, with the cause in ``failure``.
+a nonfinite objective or gradient norm at the start or at an accepted
+step, and ``line_search_failed`` when the arc yields no descent direction
+or the search runs out of backtracks, with the cause in ``failure``.
 """
 
 from __future__ import annotations
@@ -212,10 +212,10 @@ def solve_box(
 
     A failed run is returned as its trace up to the last accepted iterate
     (``x_final``), with the cause in ``failure``: ``diverged`` on a
-    nonfinite objective at the start or at an accepted step,
-    ``line_search_failed`` when the arc yields no descent direction or no
-    step is accepted after ``MAX_BACKTRACKS`` backtracks. The evaluation
-    counts include the failed search.
+    nonfinite objective or gradient norm at the start or at an accepted
+    step, ``line_search_failed`` when the arc yields no descent direction
+    or no step is accepted after ``MAX_BACKTRACKS`` backtracks. The
+    evaluation counts include the failed search.
     """
     spg = cfg.variant == "SPG"
     x = bounds.project(np.asarray(x1, dtype=np.float64))
@@ -238,6 +238,8 @@ def solve_box(
 
     if not math.isfinite(fx):
         return finish("diverged", "nonfinite objective at the starting point")
+    if not math.isfinite(gnorm):
+        return finish("diverged", "nonfinite gradient norm at the starting point")
     ls = LineSearchState.fresh(fx, M=cfg.M, sigma=cfg.sigma)
     mem = StepsizeMemory()
     mem.start(g)
@@ -261,23 +263,27 @@ def solve_box(
         lam, f_new, unit, x_new = step
         if not math.isfinite(f_new):
             return finish("diverged", f"nonfinite objective at iteration {k}")
-        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma,
-               "lam": lam, "f_new": f_new, "unit": unit}
-        records.append(rec)
 
         g_new = oracle.grad(x_new)
         s = x_new - x
         if spg:
-            sty = float(s.dot(g_new - g))
             gnorm = math.sqrt(g_new.dot(g_new))
+        else:
+            mem.push(g_new, s, alpha_used=alpha)
+            gnorm = mem.gnorm_cur
+        if not math.isfinite(gnorm):
+            return finish("diverged", f"nonfinite gradient norm at iteration {k}")
+        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma,
+               "lam": lam, "f_new": f_new, "unit": unit}
+        records.append(rec)
+        if spg:
+            sty = float(s.dot(g_new - g))
             if sty > 0.0:
                 alpha, label = _safeguard(float(s.dot(s)) / sty, cfg), "bb"
             else:
                 alpha, label = cfg.alpha_max, "sy_nonpos"
         else:
-            mem.push(g_new, s, alpha_used=alpha)
             sty = float(s.dot(mem.y_prev))
-            gnorm = mem.gnorm_cur
             short = k % (cfg.h + cfg.s) >= cfg.h
             spectral = None
             if sty > 0.0 and short:

@@ -34,7 +34,8 @@ class QuadraticProblem:
     b : array_like, optional
         Linear term; defaults to the zero vector.
 
-    Nonfinite Hessian or ``b`` entries raise ``ValueError``.
+    Nonfinite Hessian or ``b`` entries, and a dense Hessian that is not
+    exactly symmetric, raise ``ValueError``.
 
     The stored problem is immutable; solvers share instances freely. A
     float64 CSR Hessian is kept as given, not copied, so that problems
@@ -69,6 +70,8 @@ class QuadraticProblem:
             elif h.ndim == 2:
                 if h.shape[0] != h.shape[1]:
                     raise ValueError("dense Hessian must be square")
+                if not np.array_equal(h, h.T):
+                    raise ValueError("dense Hessian must be exactly symmetric")
                 self.kind = "dense"
                 self._h = h.copy()
                 n = h.shape[0]
@@ -134,7 +137,9 @@ class QuadraticProblem:
 
         Accepted kinds, with their required keys: ``diag`` (``eigenvalues``),
         ``dense`` (``matrix``) and ``sparse`` (``n``, ``rows``, ``cols``,
-        ``vals``, a COO listing). A missing key raises ``ValueError``. The
+        ``vals``, a COO listing). A missing key, or an array whose shape
+        does not fit the kind (``eigenvalues`` 1-D, ``matrix`` square
+        2-D), raises ``ValueError``. The
         linear term ``b`` may be an explicit array or
         ``{"kind": "random", "seed": ..., "range": [lo, hi]}``.
         Generated problems (families, the Laplacian) are described to
@@ -145,10 +150,11 @@ class QuadraticProblem:
             raise ValueError(f"unknown problem kind: {kind!r}")
         if missing := sorted(_ARRAY_KEYS[kind] - desc.keys()):
             raise ValueError(f"{kind} problem descriptor lacks required key(s) {missing}")
-        if kind == "diag":
-            h = np.asarray(desc["eigenvalues"], dtype=np.float64)
-        elif kind == "dense":
-            h = np.asarray(desc["matrix"], dtype=np.float64)
+        if kind != "sparse":
+            key, ndim = ("eigenvalues", 1) if kind == "diag" else ("matrix", 2)
+            h = np.asarray(desc[key], dtype=np.float64)
+            if h.ndim != ndim:
+                raise ValueError(f"{kind} problem {key!r} must be a {ndim}-D array, not shape {h.shape}")
         else:
             import scipy.sparse as sp
             n = int(desc["n"])

@@ -177,10 +177,6 @@ _RULES = {
 
 METHODS = tuple(_RULES)
 HS_METHODS = frozenset(m for m, rule in _RULES.items() if rule.cycle is None)
-# SDC is left out: the Yuan step it holds through the short phase can
-# exceed 2 g'g/g'Ag at later iterates, and f rises (SDC(10, 30) raises f on
-# most SET problems of n = 50).
-_MONOTONE = {"SD", "AOPT", "DY", "NEWS0", "NEWS"}
 
 
 @dataclass(frozen=True)
@@ -218,10 +214,6 @@ class StrategySpec:
                 raise ValueError("tau must lie in (0, 1)")
             if self.abb_window < 1:
                 raise ValueError("abb_window must be positive")
-
-    @property
-    def monotone(self) -> bool:
-        return self.method in _MONOTONE
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Golden record of the bound-constrained runs of ``plans/profiles.json``.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/box_golden.py > tests/data/box_golden.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/box_golden.py --plan-rows
 
 For every (suite problem, strategy) cell of the plan the record holds the
 iteration, function and gradient counts, the termination and a sha256
@@ -9,6 +10,11 @@ float64 bytes), the branch labels and the line-search records. A change
 that keeps the record keeps every bit of every box trajectory. Rows of
 ``boxqp-set5-rot-nonneg`` depend on the BLAS thread count, so the record
 is only comparable with OpenBLAS pinned to one thread.
+
+With ``--plan-rows`` the script prints, under the same keys, the
+iterations, func_evals and termination of the rows ``bench.run_plan``
+writes for the plan, which read every tolerance off one trajectory per
+(problem, strategy); they must match the record.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from specgrad import box_solver
+from specgrad.bench import ExperimentPlan, run_plan
 from specgrad.suite import make_suite
 
 PLAN = Path(__file__).resolve().parent.parent / "plans" / "profiles.json"
@@ -61,6 +68,19 @@ def golden() -> dict:
     }
 
 
+def plan_rows() -> dict:
+    plan = ExperimentPlan.load(str(PLAN))
+    keys = {box_solver.BoxRunConfig(**strat).variant: cfg_key(strat) for strat in plan.strategies}
+    return {
+        f"{row['family']}/{keys[row['method']]}/{row['eps']:g}": {
+            "iterations": row["iters"],
+            "func_evals": row["func_evals"],
+            "termination": row["termination"],
+        }
+        for row in run_plan(plan)
+    }
+
+
 if __name__ == "__main__":
-    json.dump(golden(), sys.stdout, indent=1, sort_keys=True)
+    json.dump(plan_rows() if sys.argv[1:] == ["--plan-rows"] else golden(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")

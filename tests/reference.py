@@ -78,3 +78,10 @@ def rho(profile: ProfileData, solver: str, tau: float) -> float:
         else:
             break
     return value
+
+
+# Methods whose f never rises on an SPD quadratic. SDC is left out: the
+# Yuan step it holds through the short phase can exceed 2 g'g/g'Ag at
+# later iterates, and f rises (SDC(10, 30) raises f on most SET problems
+# of n = 50).
+MONOTONE = {"SD", "AOPT", "DY", "NEWS0", "NEWS"}

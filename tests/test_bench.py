@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgrad import bench, qp_engine
+from specgrad import bench, box_solver, qp_engine
 from specgrad.bench import (
     ExperimentPlan,
     RESULT_FIELDS,
@@ -18,7 +18,7 @@ from specgrad.bench import (
 )
 from specgrad.problem import ObjectiveOracle, QuadraticProblem
 from specgrad.qp_engine import StrategySpec
-from specgrad.suite import BoundedProblem
+from specgrad.suite import BoundedProblem, make_suite
 
 from reference import free_bounds, rho
 
@@ -32,6 +32,16 @@ def tiny_plan(**overrides):
     }
     desc.update(overrides)
     return ExperimentPlan.from_json(desc)
+
+
+BOX_STRATEGIES = [{"variant": "A1"}, {"variant": "A1_BB1"}, {"variant": "A1_BB2"}, {"variant": "SPG", "M": 10}]
+SUITE = make_suite()
+
+
+def box_plan(tolerances, iter_cap, strategies=BOX_STRATEGIES):
+    return ExperimentPlan.from_json(
+        {"problems": [{"kind": "box_suite"}], "strategies": strategies, "tolerances": tolerances, "iter_cap": iter_cap}
+    )
 
 
 def projected(rows):
@@ -85,6 +95,16 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="variant"):
             tiny_plan(problems=[{"kind": "laplace3d", "variant": "C", "N": 4}])
 
+    @pytest.mark.parametrize("key", ["eps_pg", "max_iter"])
+    def test_box_strategy_may_not_set_its_own_tolerance_or_cap(self, key):
+        # the plan's tolerances and iter_cap label the rows, so they apply to every strategy
+        with pytest.raises(ValueError, match=key):
+            box_plan([1e-6], 100, strategies=[{"variant": "A1", key: 1e-3 if key == "eps_pg" else 10}])
+
+    def test_box_nan_tolerance(self):
+        with pytest.raises(ValueError, match="NaN"):
+            box_plan([1e-6, math.nan], 100)
+
 
 class TestRunPlan:
     def test_grid_rows(self):
@@ -130,14 +150,12 @@ class TestRunPlan:
         assert rows[0]["termination"] == "gradient_tol"
 
     def test_box_suite_requires_box_strategies(self):
-        plan = tiny_plan(problems=[{"kind": "box_suite"}])
         with pytest.raises(ValueError):
-            run_plan(plan)
+            run_plan(tiny_plan(problems=[{"kind": "box_suite"}]))
 
     def test_quadratic_requires_method(self):
-        plan = tiny_plan(strategies=[{"variant": "A1"}])
         with pytest.raises(ValueError):
-            run_plan(plan)
+            run_plan(tiny_plan(strategies=[{"variant": "A1"}]))
 
     def test_csv_round_trip(self, tmp_path):
         rows = run_plan(tiny_plan())
@@ -257,6 +275,86 @@ class TestSharedTrajectory:
             run_plan(tiny_plan(tolerances=[1e-6, eps]))
 
 
+def one_solve_box_per_tolerance(plan, entries):
+    """(iters, func_evals, termination) of a separate ``solve_box`` per
+    cell, stopped at the cell's tolerance, in row order."""
+    out = []
+    for entry in entries:
+        for strat in plan.strategies:
+            for eps in plan.tolerances:
+                cfg = box_solver.BoxRunConfig(**strat, eps_pg=eps, max_iter=plan.iter_cap)
+                tr = box_solver.solve_box(entry.oracle_factory(), entry.bounds, entry.x1, cfg)
+                out.append((plan.iter_cap if tr.failure else tr.iterations, tr.func_evals, tr.termination))
+    return out
+
+
+def box_cells(rows):
+    return [(r["iters"], r["func_evals"], r["termination"]) for r in rows]
+
+
+BOX_TOLERANCES = st.integers(-90, 10).map(lambda k: 10.0 ** (k / 10)) | st.sampled_from([1e-6, 0.0, 10.0])
+
+
+class TestSharedBoxTrajectory:
+    """Every tolerance's box row is read off one ``solve_box`` per (entry, strategy)."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        picks=st.lists(st.sampled_from(range(len(SUITE))), min_size=1, max_size=3, unique=True),
+        tolerances=st.lists(BOX_TOLERANCES, min_size=1, max_size=4).flatmap(
+            lambda ts: st.permutations(ts + ts[:1])
+        ),
+        iter_cap=st.integers(1, 200),
+    )
+    def test_rows_equal_one_solve_box_per_tolerance(self, picks, tolerances, iter_cap):
+        entries = [SUITE[i] for i in picks]
+        plan = box_plan(tolerances, iter_cap)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "make_suite", lambda: entries)
+            got = box_cells(unsorted_rows(plan))
+        assert got == one_solve_box_per_tolerance(plan, entries)
+
+    def test_cells_cap_converge_and_cross_early(self):
+        plan = box_plan([1e-2, 1e-8, 1e-4], 300)
+        got = box_cells(unsorted_rows(plan))
+        assert got == one_solve_box_per_tolerance(plan, SUITE)
+        assert {t for _, _, t in got} == {"gradient_tol", "iter_cap"}
+
+    def test_tolerance_crossed_before_a_line_search_failure(self, monkeypatch):
+        # every run's search fails at step j + 1, after an iterate j whose
+        # pg sup-norm is a new low: one tolerance is met before the failure,
+        # one exactly at the failed run's last iterate, one never
+        entry = SUITE[0]
+        pg = box_solver.solve_box(entry.oracle_factory(), entry.bounds, entry.x1, box_solver.BoxRunConfig()).pg_inf
+        j = next(i for i in range(10, len(pg)) if pg[i] < pg[:i].min())
+        search = box_solver.nonmonotone_search
+
+        def failing_search(oracle, *args):
+            step = search(oracle, *args)
+            return None if oracle.grad_count > j else step
+
+        monkeypatch.setattr(box_solver, "nonmonotone_search", failing_search)
+        monkeypatch.setattr(bench, "make_suite", lambda: [entry])
+        plan = box_plan([1e-12, float(pg[j]), float(pg[j // 2])], 20000, strategies=[{"variant": "A1"}])
+        got = box_cells(unsorted_rows(plan))
+        assert got == one_solve_box_per_tolerance(plan, [entry])
+        assert [t for _, _, t in got] == ["line_search_failed", "gradient_tol", "gradient_tol"]
+        assert got[1][0] == j and got[2][0] <= j // 2
+
+    def test_one_solve_box_per_entry_and_strategy(self, monkeypatch):
+        calls = []
+        solve = box_solver.solve_box
+
+        def counted(oracle, bounds, x1, cfg):
+            calls.append((cfg.eps_pg, cfg.max_iter))
+            return solve(oracle, bounds, x1, cfg)
+
+        monkeypatch.setattr(box_solver, "solve_box", counted)
+        rows = run_plan(box_plan([1e-4, 1e-7, 1e-2], 50))
+        assert len(rows) == len(SUITE) * 4 * 3
+        assert calls == [(1e-7, 50)] * (len(SUITE) * 4)
+
+
 def indefinite_instance(desc, seed):
     """A run of SD from this start crosses 1e-4 relative to ||g_1|| within
     100 steps; the negative eigenvalue's component then grows until the
@@ -278,6 +376,16 @@ class TestFailureTerminations:
         for eps in (1e-9, 1e-12):
             assert by_eps[eps]["termination"] == "diverged"
             assert by_eps[eps]["iters"] == plan.iter_cap
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_start_meets_no_tolerance(self, monkeypatch):
+        # ||g_1|| overflows to inf, and inf <= eps * inf would read as met
+        problem = QuadraticProblem(np.array([1e300, 1e300]))
+        meta = {"family": "BIG", "kappa": ""}
+        monkeypatch.setattr(bench, "gen_instance", lambda desc, seed: (problem, np.ones(2), meta))
+        plan = tiny_plan(strategies=[{"method": "SD"}], tolerances=[1e-6], iter_cap=100)
+        rows = unsorted_rows(plan)
+        assert cells(rows) == one_run_per_tolerance(plan) == [(100, "diverged")] * 2
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverged_trace_keeps_the_finite_part_of_the_run(self):
@@ -317,6 +425,17 @@ class TestFailureTerminations:
         rows = run_plan(self.box_plan(monkeypatch, -math.inf))
         assert [r["termination"] for r in rows] == ["diverged"] * 2
         assert all(r["iters"] == 500 for r in rows)
+
+    def test_box_nonfinite_start_meets_no_tolerance(self, monkeypatch):
+        # pg_inf at the start is 2, under the loose tolerance 10, but the run
+        # fails before its first stop test
+        entry = BoundedProblem("nan-start", lambda: ObjectiveOracle(lambda x: math.nan, lambda x: 2.0 * x),
+                               free_bounds(3), np.ones(3))
+        monkeypatch.setattr(bench, "make_suite", lambda: [entry])
+        plan = box_plan([10.0, 1e-6], 500, strategies=[{"variant": "A1"}])
+        got = box_cells(unsorted_rows(plan))
+        assert got == one_solve_box_per_tolerance(plan, [entry])
+        assert got == [(500, 1, "diverged")] * 2
 
     def test_summarize_counts_named_failures(self, monkeypatch):
         summary = summarize(run_plan(self.box_plan(monkeypatch, math.nan)))

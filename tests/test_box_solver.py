@@ -326,6 +326,30 @@ class TestFailureEndings:
         assert tr.iterations >= 1 and oracle.eval_count == 5
         assert np.isfinite(tr.f).all() and tr.f[-1] == p.objective(tr.x_final)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["A1", "SPG"])
+    def test_overflowed_start_gradient_norm_diverges(self, variant):
+        # ||g|| overflows to inf: s'y = 0 would take the stepsize 1/||g|| = 0
+        oracle, accepted = recording_oracle(
+            lambda x: -1e200 * x[0] - x[1] ** 2 / 2, lambda x: np.array([-1e200, -x[1]])
+        )
+        tr = solve_box(oracle, BoxBounds([-1.0, -1.0], [1.0, 1.0]), np.array([0.0, 0.5]), BoxRunConfig(variant=variant))
+        self.check(tr, oracle, accepted, "diverged", "nonfinite gradient norm at the starting point")
+        assert tr.iterations == 0 and oracle.eval_count == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["A1", "SPG"])
+    def test_overflowed_gradient_norm_at_an_accepted_iterate_diverges(self, variant):
+        # ||g_1|| is finite; the first accepted step reaches x_0 > 0, where ||g|| overflows
+        oracle, gradient_points = recording_oracle(
+            lambda x: -x[0] - 1e200 * x[0] ** 2 - x[1] ** 2 / 2, lambda x: np.array([-1.0 - 2e200 * x[0], -x[1]])
+        )
+        tr = solve_box(oracle, BoxBounds([-1.0, -1.0], [1.0, 1.0]), np.array([0.0, 0.5]), BoxRunConfig(variant=variant))
+        # the trace ends on the start, the last iterate whose ||g|| is finite
+        self.check(tr, oracle, gradient_points[:-1], "diverged", "nonfinite gradient norm at iteration 1")
+        assert tr.iterations == 0 and np.isfinite(tr.gnorm).all()
+        assert oracle.eval_count == 2 and oracle.grad_count == 2
+
     @pytest.mark.parametrize("variant", ["A1", "SPG"])
     def test_backtracks_exhausted(self, variant):
         p = QuadraticProblem(np.arange(1.0, 6.0), np.ones(5))

@@ -213,3 +213,21 @@ def test_descriptor_missing_a_key_exits_1(tmp_path, capsys, desc, key):
     assert rc == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "desc, message",
+    [
+        ({"kind": "diag", "eigenvalues": [[2, 1], [1, 2]]}, "1-D"),
+        ({"kind": "dense", "matrix": [2, 3]}, "2-D"),
+        ({"kind": "dense", "matrix": [[1, 5], [0, 1]]}, "symmetric"),
+    ],
+    ids=["diag-given-a-matrix", "dense-given-a-vector", "dense-nonsymmetric"],
+)
+def test_descriptor_array_that_does_not_fit_its_kind_exits_1(tmp_path, capsys, desc, message):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(desc))
+    rc = main(["solve", "--problem", str(problem), "--strategy", "sd", "--out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()

@@ -112,6 +112,12 @@ class TestHessianApply:
         with pytest.raises(ValueError, match="finite"):
             QuadraticProblem(np.array([1.0, bad]))
 
+    def test_nonsymmetric_dense_rejected(self):
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
+        a[0, 1] = np.nextafter(1.0, 2.0)  # one ulp off is not symmetric
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticProblem(a)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_dense_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -256,6 +262,20 @@ class TestJsonRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             QuadraticProblem.from_json({"kind": "banded"})
+
+    @pytest.mark.parametrize(
+        "desc, message",
+        [
+            ({"kind": "diag", "eigenvalues": [[2.0, 1.0], [1.0, 2.0]]}, "1-D"),
+            ({"kind": "diag", "eigenvalues": 2.0}, "1-D"),
+            ({"kind": "dense", "matrix": [2.0, 3.0]}, "2-D"),
+            ({"kind": "dense", "matrix": [[2.0, 1.0]]}, "square"),
+        ],
+    )
+    def test_array_shape_must_fit_the_kind(self, desc, message):
+        # the array's shape never overrides the descriptor's kind
+        with pytest.raises(ValueError, match=message):
+            QuadraticProblem.from_json(desc)
 
     def test_json_serializable(self):
         p = QuadraticProblem(np.array([1.0, 3.0]), np.array([0.5, -0.5]))

@@ -33,7 +33,7 @@ from specgrad.qp_engine import (
 )
 from specgrad.stepsize import bar_alpha_direct, yuan_stepsize
 
-from reference import aopt_stepsize, bb_pair, sd_stepsize
+from reference import MONOTONE, aopt_stepsize, bb_pair, sd_stepsize
 
 
 def small_problem(seed=0, n=60, kappa=100.0, family="TP1"):
@@ -395,7 +395,7 @@ class TestRunMany:
             assert tr.termination == ("gradient_tol" if converged else "iter_cap")
             assert converged or tr.iterations == iter_cap
             assert len(tr.gnorm) == tr.iterations + 1
-            if spec.monotone:
+            if spec.method in MONOTONE:
                 # rounding of the f recurrence allowed, a few ulps of its terms
                 slack = 1e-12 * (np.abs(tr.f[:-1]) + tr.alpha * tr.gnorm[:-1] ** 2)
                 assert (np.diff(tr.f) <= slack).all(), spec
