@@ -10,16 +10,20 @@ directory. For every workload the script runs ``--pairs`` pairs of
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0``, each run
 in a fresh process from its own tree; odd pairs (1, 3, ...) run the
 parent first and even pairs the change first, so a drift of the host
-clock falls on both sides alike. After the pairs, each side runs once more
-with ``--trace 1`` for the per-layer metrics. Both sides run their own copy
-of ``perfbench/``, so the two trees must hold the same benchmark.
+clock falls on both sides alike. After the pairs, each side runs
+``TRACED_RUNS`` more times with ``--trace 1``, alternating in the same
+way, for the per-layer metrics. A traced run is pinned to one CPU: the
+benchmark's spans and counts see only its own process, and on one CPU
+``run_plan`` runs every instance there. Both sides run their own copy of
+``perfbench/``, so the two trees must hold the same benchmark.
 
 Per end-to-end metric the record holds each side's runs (in pair order),
 median and quartiles, the pairs the change won (ties count for neither),
 the change/parent ratio of the medians and the parent's interquartile
 range; per workload it holds both sides' ``fail_frac`` per run and, under
-``per_layer``, each per-layer metric of BENCHMARK.json from one traced run
-of each side, with the change/parent ratio. The provenance (core count,
+``per_layer``, each per-layer metric of BENCHMARK.json: each side's median
+over its traced runs, those runs and their [min, max] range, and the
+change/parent ratio of the medians. The provenance (core count,
 numpy, scipy and OpenBLAS versions, the BLAS thread count) comes from
 perfbench's own provenance line.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -37,6 +42,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TRACED_RUNS = 3  # per side, for the per-layer medians
 
 
 def parse_args(argv):
@@ -78,11 +84,16 @@ def materialize(spec: str, scratch: Path) -> tuple[Path, str]:
 
 
 def run_once(tree: Path, workload: str, args, trace: int = 0) -> dict:
-    """One perfbench run: its result line plus its provenance line."""
+    """One perfbench run: its result line plus its provenance line. A
+    traced run is pinned to the first CPU of this process's mask."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload]
     cmd += ["--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     cmd += ["--smoke"] * args.smoke
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=20 * args.seconds + 600)
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pin = (lambda: os.sched_setaffinity(0, one_cpu)) if trace else None
+    proc = subprocess.run(
+        cmd, cwd=tree, capture_output=True, text=True, timeout=20 * args.seconds + 600, preexec_fn=pin
+    )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"perf: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -111,14 +122,21 @@ def summarize_metric(spec: dict, parent: list[float], change: list[float]) -> di
 
 
 def per_layer(specs: list[dict], traced: dict) -> dict:
-    """Each per-layer metric of the one traced run per side (None where a
-    side does not report it), with the change/parent ratio."""
+    """Each per-layer metric's median over each side's traced runs (None
+    where a side does not report it), with those runs, their [min, max]
+    range and the change/parent ratio of the medians."""
     out = {}
     for spec in specs:
-        p, c = (traced[side]["metrics"].get(spec["name"], {}).get("value") for side in ("parent", "change"))
-        ratio = round(c / p, 4) if p and c is not None else None
-        out[spec["name"]] = {"unit": spec["unit"], "better": spec["better"], "parent": p, "change": c,
-                             "change_over_parent": ratio}
+        layer = {"unit": spec["unit"], "better": spec["better"]}
+        for side in ("parent", "change"):
+            runs = [r["metrics"].get(spec["name"], {}).get("value") for r in traced[side]]
+            known = [v for v in runs if v is not None]
+            layer[side] = statistics.median(known) if known else None
+            layer[f"{side}_runs"] = runs
+            layer[f"{side}_range"] = [min(known), max(known)] if known else None
+        p, c = layer["parent"], layer["change"]
+        layer["change_over_parent"] = round(c / p, 4) if p and c is not None else None
+        out[spec["name"]] = layer
     return out
 
 
@@ -150,7 +168,8 @@ def main(argv=None) -> int:
             "parent": trees["parent"][1],
             "change_tree": trees["change"][1],
             "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
-            "--trace 0" + " --smoke" * args.smoke + " (per_layer: one run per side with --trace 1)",
+            "--trace 0" + " --smoke" * args.smoke
+            + f" (per_layer: {TRACED_RUNS} runs per side with --trace 1, each pinned to one CPU)",
             "method": "alternating parent/change pairs (odd pairs parent first), each run in a fresh process "
             "from its own tree; every value is one run's perfbench metric (wall_s is the mean over that run's "
             "grid repetitions); runs are listed in pair order, medians and quartiles (inclusive) are over runs",
@@ -164,7 +183,10 @@ def main(argv=None) -> int:
                     runs[side].append(run_once(trees[side][0], workload, args))
                     wall = runs[side][-1]["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {i + 1}/{args.pairs} {side} wall_s={wall:.4f}", file=sys.stderr)
-            traced = {side: run_once(trees[side][0], workload, args, trace=1) for side in runs}
+            traced = {"parent": [], "change": []}
+            for i in range(TRACED_RUNS):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    traced[side].append(run_once(trees[side][0], workload, args, trace=1))
             first = runs["parent"][0]["provenance"]
             record.setdefault("provenance", provenance(first))
             record.setdefault("commits", {
@@ -181,7 +203,7 @@ def main(argv=None) -> int:
                     )
                     for m in metrics
                 },
-                "traced_correct": {side: traced[side]["correct"] for side in traced},
+                "traced_correct": {side: all(r["correct"] for r in traced[side]) for side in traced},
                 "per_layer": per_layer(spec.get("per_layer", []), traced),
             }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

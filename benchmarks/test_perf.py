@@ -1,10 +1,13 @@
 """Smoke test of the BENCH writer: one shrunken pair of one workload, plus
-one traced run per side for the per-layer metrics."""
+the traced runs per side for the per-layer metrics."""
 
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import perf
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -34,8 +37,18 @@ def test_one_smoke_pair_writes_the_record(tmp_path):
     layers = workload["per_layer"]
     assert set(layers) == {m["name"] for m in spec["per_layer"]}
     for layer in layers.values():
-        assert {"unit", "better", "parent", "change", "change_over_parent"} <= set(layer)
-        assert isinstance(layer["parent"], float) and isinstance(layer["change"], float)
-    # both sides run the same tree: the counts agree
-    assert all(layer["parent"] == layer["change"] for layer in layers.values() if layer["unit"] == "count")
+        keys = {"unit", "better", "parent", "change", "change_over_parent"}
+        assert keys | {"parent_runs", "change_runs", "parent_range", "change_range"} <= set(layer)
+        for side in ("parent", "change"):
+            assert isinstance(layer[side], float)
+            # the median of the side's traced runs, inside their range
+            runs = layer[f"{side}_runs"]
+            assert len(runs) == perf.TRACED_RUNS >= 3 and all(isinstance(v, float) for v in runs)
+            assert layer[side] == statistics.median(runs)
+            assert layer[f"{side}_range"] == [min(runs), max(runs)]
+    # both sides run the same tree on one CPU, so every traced run counts
+    # every instance: the counts agree from run to run and between sides
+    counts = [layer for layer in layers.values() if layer["unit"] == "count"]
+    assert all(len(set(layer["parent_runs"] + layer["change_runs"])) == 1 for layer in counts)
+    assert all(layer["parent"] == layer["change"] for layer in counts)
     assert layers["problem.apply.calls"]["parent"] > 0

@@ -2,17 +2,18 @@
 
 A plan is a JSON document listing problem descriptors (with seed lists),
 strategies, and tolerances. ``run_plan`` executes the grid one problem
-instance after another and returns rows in a deterministic key order, so
-result CSVs are byte-identical from run to run. An instance is a
-quadratic (descriptor, seed), built once with its start and row labels
-by ``generators.gen_instance`` (the one reader of the problem descriptor
-format that plans share with the CLI), or an entry of the bound-
-constrained suite. Each of its strategies runs once, at the smallest
-tolerance (the quadratic ones in one ``qp_engine.run_many`` call), and
-every tolerance's row is read off that trajectory. Quadratic rows do not
-depend on the BLAS thread count (see ``qp_engine``); box rows may, so pin
-it when comparing their CSVs across machines. The reproducible metrics
-are iteration and function-evaluation counts.
+instance at a time per process, on one process per CPU of the caller's
+affinity mask, and returns rows in a deterministic key order, so result
+CSVs are byte-identical from run to run and whatever the CPU count. An
+instance is a quadratic (descriptor, seed), built once with its start and
+row labels by ``generators.gen_instance`` (the one reader of the problem
+descriptor format that plans share with the CLI), or an entry of the
+bound-constrained suite. Each of its strategies runs once, at the
+smallest tolerance (the quadratic ones in one ``qp_engine.run_many``
+call), and every tolerance's row is read off that trajectory. Quadratic
+rows do not depend on the BLAS thread count (see ``qp_engine``); box rows
+may, so pin it when comparing their CSVs across machines. The
+reproducible metrics are iteration and function-evaluation counts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +148,14 @@ def _plan_jobs(plan: ExperimentPlan) -> list:
     return jobs
 
 
+def _job_size(job) -> int:
+    """Dimension of a job's problem, read off its descriptor or suite entry."""
+    if job[0] == "box":
+        return job[1].x1.size
+    desc = job[1]
+    return family_spec(desc, seed=0).n if "family" in desc else laplace_spec(desc).N ** 3
+
+
 def _rows(trace, plan: ExperimentPlan, family, kappa, method: str, h, s, seed) -> list[dict]:
     """Every tolerance's row of one (instance, strategy) trajectory, run
     to the plan's smallest tolerance.
@@ -203,6 +213,83 @@ def _execute(job, plan: ExperimentPlan) -> list[dict]:
     return rows
 
 
+def _take_jobs(jobs: list, plan: ExperimentPlan, counter) -> dict[int, list[dict]]:
+    """Rows of the jobs this process runs (index -> rows), taking the next
+    index from the shared ``counter`` until none is left. An error takes
+    every index left, so no process starts another job."""
+    done = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(jobs):
+            return done
+        try:
+            done[i] = _execute(jobs[i], plan)
+        except BaseException:
+            with counter.get_lock():
+                counter.value = len(jobs)
+            raise
+
+
+def _child(jobs: list, plan: ExperimentPlan, cpu: int, counter, send) -> None:
+    """A forked plan worker: it owns ``cpu``, runs jobs off the shared
+    counter and sends back (index -> rows, None), or (None, its error)."""
+    os.sched_setaffinity(0, {cpu})
+    try:
+        send.send((_take_jobs(jobs, plan, counter), None))
+    except Exception as exc:
+        send.send((None, exc))
+
+
+def _run_pooled(jobs: list, plan: ExperimentPlan, cpus: list[int]) -> list[list[dict]]:
+    """Every job's rows, in job order, from one process per CPU in
+    ``cpus``: the caller, pinned to the first, and a forked child pinned
+    to each other one take job indices from one shared counter. The
+    caller restores its mask, joins every child on every exit path and
+    re-raises the first error a child sends, with its own type. Children
+    are forked, not spawned: they start at once with the caller's modules
+    and jobs (suite entries hold closures, which do not pickle), and only
+    rows and errors are pickled back. specgrad runs no thread of its own
+    at the fork (``run_many`` joins its threads before it returns)."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    children = []
+    try:
+        for cpu in cpus[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_child, args=(jobs, plan, cpu, counter, send), daemon=True)
+            child.start()
+            children.append((child, recv))
+            send.close()
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpus[0]})
+        try:
+            done = _take_jobs(jobs, plan, counter)
+        finally:
+            os.sched_setaffinity(0, mask)
+        for child, recv in children:
+            try:
+                part, error = recv.recv()
+            except EOFError:
+                child.join()
+                error = RuntimeError(f"plan worker exited with code {child.exitcode} before sending its rows")
+            if error is not None:
+                raise error
+            done.update(part)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return [done[i] for i in range(len(jobs))]
+
+
 def run_plan(plan: ExperimentPlan) -> list[dict]:
     """One row per (problem instance, strategy, tolerance) cell.
 
@@ -214,8 +301,22 @@ def run_plan(plan: ExperimentPlan) -> list[dict]:
     rows carry ``iters = iter_cap``, except a tolerance crossed before the
     failure, which reads ``gradient_tol``. Rows come back sorted by their
     result key.
+
+    The instances run on W = min(CPUs in the caller's affinity mask,
+    instances) processes: the caller and W - 1 forked children, each
+    pinned to its own CPU of the mask and taking the next instance as it
+    finishes one, largest dimension first (stable among equals), so each
+    holds one instance at a time. A pinned process sees one CPU, so
+    ``qp_engine.run_many`` starts no thread inside a plan. With W = 1 the caller runs every instance and nothing forks or
+    pins (``taskset -c 0`` runs a plan serially). An error in any process
+    starts no further instance and is raised here with its own type.
     """
-    rows = [row for job in _plan_jobs(plan) for row in _execute(job, plan)]
+    # largest problems first, so that no long instance starts last and
+    # runs alone while the other processes idle
+    jobs = sorted(_plan_jobs(plan), key=_job_size, reverse=True)
+    cpus = sorted(os.sched_getaffinity(0))[: len(jobs)]
+    done = _run_pooled(jobs, plan, cpus) if len(cpus) > 1 else [_execute(job, plan) for job in jobs]
+    rows = [row for part in done for row in part]
     rows.sort(key=lambda row: tuple(str(row[k]) for k in RESULT_FIELDS))
     return rows
 

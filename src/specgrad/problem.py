@@ -34,8 +34,8 @@ class QuadraticProblem:
     b : array_like, optional
         Linear term; defaults to the zero vector.
 
-    Nonfinite Hessian or ``b`` entries, and a dense Hessian that is not
-    exactly symmetric, raise ``ValueError``.
+    An empty (n = 0) Hessian, nonfinite Hessian or ``b`` entries, and a
+    dense Hessian that is not exactly symmetric raise ``ValueError``.
 
     The stored problem is immutable; solvers share instances freely. A
     float64 CSR Hessian is kept as given, not copied, so that problems
@@ -77,6 +77,8 @@ class QuadraticProblem:
                 n = h.shape[0]
             else:
                 raise ValueError("Hessian must be a vector, matrix, or sparse matrix")
+        if n == 0:
+            raise ValueError("problem dimension must be positive")
         self.dim = n
         if b is None:
             self.b = np.zeros(n)

@@ -33,14 +33,17 @@ takes its long-phase stepsize and the trace labels the iteration
 
 Concurrency: when a problem is large enough that every block is one row
 (n > BLOCK_ELEMENTS // 2), the calling thread and min(cores, blocks) - 1
-worker threads take the blocks from one shared queue. Such a row's time
+worker threads take the blocks from one shared queue, where cores are the
+CPUs of the calling process's affinity mask. Such a row's time
 goes mostly to the Hessian product and the vector updates, native code
 that releases the interpreter lock; its chunk dots (``_dot``) hold it.
 Blocks of several rows run one after another on the calling thread, as
 their per-row rule arithmetic holds it. Each row performs the same
 operations wherever it runs, and no dot product is long enough for the
 BLAS to split it across its own threads, so a trace depends on neither
-the worker threads nor the BLAS thread count.
+the worker threads nor the BLAS thread count. Inside ``bench.run_plan``
+each process owns one CPU, so no worker thread starts there; direct
+callers (``specgrad solve`` and ``diag``) keep the threads.
 """
 
 from __future__ import annotations
@@ -376,10 +379,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
 
 def _drain(tasks: list, work: Callable) -> None:
     """Call ``work`` on every task: the calling thread and
-    min(cores, tasks) - 1 worker threads take them from one queue. The
-    caller takes a share, so a worker's allocations stay few. After the
-    join the first exception any of them raised is re-raised here, and no
-    task is started after it."""
+    min(cores in the affinity mask, tasks) - 1 worker threads take them
+    from one queue. The caller takes a share, so a worker's allocations
+    stay few. After the join the first exception any of them raised is
+    re-raised here, and no task is started after it."""
     pending = deque(tasks)
     errors = []
 

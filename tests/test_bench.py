@@ -1,5 +1,9 @@
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +46,12 @@ def box_plan(tolerances, iter_cap, strategies=BOX_STRATEGIES):
     return ExperimentPlan.from_json(
         {"problems": [{"kind": "box_suite"}], "strategies": strategies, "tolerances": tolerances, "iter_cap": iter_cap}
     )
+
+
+def one_cpu(monkeypatch):
+    """Make the caller's affinity mask one CPU, so ``run_plan`` runs every
+    instance in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def projected(rows):
@@ -166,6 +176,16 @@ class TestRunPlan:
             tuple(str(r[k]) for k in RESULT_FIELDS) for r in rows
         ]
 
+    def test_largest_instances_start_first(self, monkeypatch):
+        # equal dimensions keep plan order; the key sort puts the rows back
+        one_cpu(monkeypatch)
+        started = []
+        monkeypatch.setattr(bench, "_execute", lambda job, plan: started.append(job[1:]) or [])
+        small, large = ({"family": "TP1", "n": n, "kappa": 10.0, "seeds": [1, 2], "mode": "diag"} for n in (20, 60))
+        laplace = {"kind": "laplace3d", "variant": "A", "N": 4}  # n = 64
+        run_plan(tiny_plan(problems=[small, laplace, large]))
+        assert started == [(laplace, 0), (large, 1), (large, 2), (small, 1), (small, 2)]
+
     def test_summarize_means(self):
         rows = run_plan(tiny_plan())
         summary = summarize(rows)
@@ -174,6 +194,101 @@ class TestRunPlan:
             assert group["runs"] == 2
             assert group["failures"] == 0
             assert group["mean_iters"] == round(group["mean_iters"], 1)
+
+
+POOL_PLANS = {
+    "quadratic-seeds": lambda: tiny_plan(
+        problems=[{"family": "SET3", "n": 60, "kappa": 1e3, "seeds": list(range(1, 9)), "mode": "diag"}],
+        tolerances=[1e-3, 1e-6],
+    ),
+    # n = 33**3 > BLOCK_ELEMENTS // 2: every block is one row
+    "laplace-B-33": lambda: tiny_plan(
+        problems=[{"kind": "laplace3d", "variant": v, "N": 33} for v in ("B", "A")],
+        strategies=[{"method": "DY"}, {"method": "NEWS", "h": 10, "s": 80}, {"method": "ABBMIN2"}],
+        tolerances=[1e-3, 1e-4],
+    ),
+    "box-3-tolerances": lambda: box_plan([1e-2, 1e-5, 1e-8], 300),
+}
+
+
+@pytest.fixture
+def job_log(tmp_path, monkeypatch):
+    """A file to which every plan job, in whichever process runs it, writes
+    "<pid> <CPUs in its mask>", and every started thread "thread"."""
+    path = tmp_path / "jobs.log"
+    execute, start = bench._execute, threading.Thread.start
+
+    def log(line):
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+
+    def logged_execute(job, plan):
+        log(f"{os.getpid()} {len(os.sched_getaffinity(0))}")
+        return execute(job, plan)
+
+    def logged_start(thread):
+        log("thread")
+        start(thread)
+
+    monkeypatch.setattr(bench, "_execute", logged_execute)
+    monkeypatch.setattr(threading.Thread, "start", logged_start)
+    return path
+
+
+def logged_jobs(path):
+    """(pid, CPU count) of each logged job, and the count of started threads."""
+    lines = path.read_text().splitlines() if path.exists() else []
+    jobs = [tuple(map(int, line.split())) for line in lines if line != "thread"]
+    return jobs, lines.count("thread")
+
+
+def assert_no_child_left(pids):
+    assert multiprocessing.active_children() == []
+    for pid in pids - {os.getpid()}:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # joined children are reaped: their pids are gone
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the pool needs 2 CPUs")
+class TestPlanPool:
+    """``run_plan`` spreads a plan's instances over one process per CPU."""
+
+    @pytest.mark.parametrize("name", list(POOL_PLANS))
+    def test_pooled_rows_equal_the_rows_on_one_cpu(self, monkeypatch, job_log, name):
+        plan = POOL_PLANS[name]()
+        mask = os.sched_getaffinity(0)
+        pooled = run_plan(plan)
+        jobs, threads = logged_jobs(job_log)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child_left({pid for pid, _ in jobs})
+        # every process, the caller too, owns one CPU, so the engine's
+        # one-row blocks start no thread
+        assert len(jobs) == len(bench._plan_jobs(plan))  # each instance ran once
+        assert len({pid for pid, _ in jobs}) == min(len(mask), len(jobs))
+        assert {cpus for _, cpus in jobs} == {1} and threads == 0
+        one_cpu(monkeypatch)
+        assert run_plan(plan) == pooled
+
+    @pytest.mark.parametrize("failing", ["child", "caller"])
+    def test_an_error_is_raised_with_its_type_and_starts_no_job(self, monkeypatch, job_log, failing):
+        caller, logged = os.getpid(), bench._execute
+
+        def execute(job, plan):
+            rows = logged(job, plan)
+            if (os.getpid() == caller) == (failing == "caller"):
+                raise ValueError(f"{failing} failed")
+            time.sleep(0.05)  # the failing process surely gets an instance
+            return rows
+
+        monkeypatch.setattr(bench, "_execute", execute)
+        mask = os.sched_getaffinity(0)
+        plan = tiny_plan(problems=[{"family": "TP1", "n": 20, "kappa": 10.0, "seeds": list(range(40)), "mode": "diag"}])
+        with pytest.raises(ValueError, match=f"{failing} failed"):
+            run_plan(plan)
+        jobs, _ = logged_jobs(job_log)
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child_left({pid for pid, _ in jobs})
+        assert len(jobs) < 40
 
 
 def one_run_per_tolerance(plan):
@@ -252,7 +367,9 @@ class TestSharedTrajectory:
         assert {t for _, t in got} == {"gradient_tol", "iter_cap"}
 
     def test_one_build_and_one_run_per_instance_and_strategy(self, monkeypatch):
-        # one engine call per instance, holding each strategy once
+        # one engine call per instance, holding each strategy once; on one
+        # CPU the plan runs in this process, where the lists see every call
+        one_cpu(monkeypatch)
         builds, runs = [], []
         build, run_many = bench.gen_instance, qp_engine.run_many
         monkeypatch.setattr(bench, "gen_instance", lambda *a: builds.append(a) or build(*a))
@@ -342,6 +459,7 @@ class TestSharedBoxTrajectory:
         assert got[1][0] == j and got[2][0] <= j // 2
 
     def test_one_solve_box_per_entry_and_strategy(self, monkeypatch):
+        one_cpu(monkeypatch)  # the plan runs in this process, where the list sees every call
         calls = []
         solve = box_solver.solve_box
 

@@ -60,11 +60,14 @@ def test_profiles_plan_is_box_comparison():
 
 # Imports specgrad, loads every plan and runs grids that build no sparse
 # Hessian (one n = 200 seed of table1 and table3, and the profiles grid);
-# only then may a Laplacian build load scipy.sparse.
+# only then may a Laplacian build load scipy.sparse. Only run_plan's
+# process pool loads multiprocessing, not the import.
 COLD_START = """
 import json, sys
 from pathlib import Path
 import specgrad
+
+assert "multiprocessing" not in sys.modules, "import specgrad loaded multiprocessing"
 
 plans = Path(sys.argv[1])
 for path in sorted(plans.glob("*.json")):

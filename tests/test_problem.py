@@ -118,6 +118,13 @@ class TestHessianApply:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticProblem(a)
 
+    @pytest.mark.parametrize(
+        "hessian", [np.zeros(0), np.zeros((0, 0)), sp.csr_matrix((0, 0))], ids=["diag", "dense", "sparse"]
+    )
+    def test_zero_dimension_rejected(self, hessian):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            QuadraticProblem(hessian)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_dense_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
