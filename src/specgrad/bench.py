@@ -117,6 +117,8 @@ class ExperimentPlan:
             raise ValueError("quadratic tolerances must lie in (0, 1)")
         if any(math.isnan(eps) for eps in self.tolerances):
             raise ValueError("tolerances must not be NaN")
+        if any(box) and not all(0.0 <= eps < math.inf for eps in self.tolerances):
+            raise ValueError("box tolerances must be finite and nonnegative")
 
     @staticmethod
     def from_json(desc: dict) -> "ExperimentPlan":
@@ -307,9 +309,10 @@ def run_plan(plan: ExperimentPlan) -> list[dict]:
     pinned to its own CPU of the mask and taking the next instance as it
     finishes one, largest dimension first (stable among equals), so each
     holds one instance at a time. A pinned process sees one CPU, so
-    ``qp_engine.run_many`` starts no thread inside a plan. With W = 1 the caller runs every instance and nothing forks or
-    pins (``taskset -c 0`` runs a plan serially). An error in any process
-    starts no further instance and is raised here with its own type.
+    ``qp_engine.run_many`` starts no thread inside a plan. With W = 1 the
+    caller runs every instance and nothing forks or pins (``taskset -c 0``
+    runs a plan serially). An error in any process starts no further
+    instance and is raised here with its own type.
     """
     # largest problems first, so that no long instance starts last and
     # runs alone while the other processes idle

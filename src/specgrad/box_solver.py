@@ -164,6 +164,10 @@ class BoxRunConfig:
             raise ValueError("h, s, M must be positive")
         if not 0.0 < self.sigma < 1.0:
             raise ValueError("sigma must lie in (0, 1)")
+        if not 0.0 <= self.eps_pg < math.inf:
+            raise ValueError("eps_pg must be finite and nonnegative")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be positive")
         v = self.variant.upper().replace("-", "_")
         if v not in BOX_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {BOX_VARIANTS}")

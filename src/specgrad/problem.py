@@ -10,6 +10,7 @@ unbounded (IEEE +-inf sentinels). General smooth objectives enter through
 
 from __future__ import annotations
 
+import mmap
 from typing import Callable
 
 import numpy as np
@@ -20,6 +21,32 @@ _F64 = np.dtype(np.float64)
 
 # the array keys each explicit problem kind requires (see from_json)
 _ARRAY_KEYS = {"diag": {"eigenvalues"}, "dense": {"matrix"}, "sparse": {"n", "rows", "cols", "vals"}}
+
+
+def aligned_empty(shape) -> np.ndarray:
+    """Uninitialised float64 C array of ``shape`` that starts on a page,
+    hence on a 64-byte cache line.
+
+    A fresh ``malloc`` result is only 16-byte aligned (a large one starts
+    16 bytes into a page), so the vector accesses of an elementwise
+    update or a BLAS dot split cache lines. Measured on a 2-core AVX-512
+    x86-64 host with one BLAS thread, on (20, 1000) blocks: the update
+    (two products, two differences) took 26.4 us on aligned arrays
+    against 46.1 us at a 16-byte offset, the diagonal product 9.8 against
+    15.5 us and a stacked-matmul row dot 6.1 against 8.0 us.
+
+    The array lives in a private anonymous memory map of its own, which
+    goes back to the system when the array is freed and, like numpy's own
+    memory, is copied on write in a forked child (each live array holds
+    one of the process's mappings, 65,530 by default on Linux, and at
+    least one page). Over-allocated ``malloc`` buffers, a page longer
+    than scipy's products of the same length, fragmented the heap:
+    perfbench's laplace60 peak RSS grew from 98 MB after 3 plan runs to
+    110 MB after 8, against 97.6 MB with plain numpy arrays.
+    """
+    size = 8 * int(np.prod(shape))
+    buf = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, np.float64, size // 8).reshape(shape)
 
 
 class QuadraticProblem:
@@ -40,7 +67,8 @@ class QuadraticProblem:
     The stored problem is immutable; solvers share instances freely. A
     float64 CSR Hessian is kept as given, not copied, so that problems
     differing only in ``b`` share one matrix: the caller must not mutate
-    it afterwards. Dense and diagonal Hessians are copied.
+    it afterwards. A dense Hessian is copied, and a diagonal one is copied
+    into an array from ``aligned_empty``.
     """
 
     def __init__(self, hessian, b=None):
@@ -65,7 +93,8 @@ class QuadraticProblem:
                 if np.any(h <= 0.0):
                     raise ValueError("diagonal Hessian entries must be strictly positive")
                 self.kind = "diag"
-                self._h = h.copy()
+                self._h = aligned_empty(h.shape)
+                self._h[...] = h
                 n = h.shape[0]
             elif h.ndim == 2:
                 if h.shape[0] != h.shape[1]:
@@ -93,20 +122,26 @@ class QuadraticProblem:
     def hessian(self):
         return self._h
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Hessian-vector product A v, or A v_i for every row v_i of a (B, n) block.
 
         Each row's product is bitwise the product of that row alone: a
         diagonal Hessian multiplies per element, and a dense or sparse one
         takes one product per row, because a (B, n) @ A' product sums in
         another order. A float64 vector of length n is used as given.
+
+        A diagonal product is written into ``out`` (a float64 C array of
+        v's shape, not v itself) when one is given; a block reuses one
+        array from ``aligned_empty`` this way. Other kinds take no ``out``.
         """
         if type(v) is not np.ndarray or v.dtype is not _F64 or v.shape != (self.dim,):
             v = np.asarray(v, dtype=np.float64)
             if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
                 raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},) or (B, {self.dim})")
         if self.kind == "diag":
-            return self._h * v
+            return np.multiply(self._h, v, out=out)
+        if out is not None:
+            raise ValueError(f"a {self.kind} Hessian takes no out array")
         if v.ndim == 2:
             return np.stack([self._h @ row for row in v])
         return self._h @ v

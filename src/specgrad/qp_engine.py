@@ -31,6 +31,16 @@ undefined (the spectral quotient one step back at k = 2) the strategy
 takes its long-phase stepsize and the trace labels the iteration
 ``fallback``.
 
+Buffers: a block takes its working arrays once, each from
+``problem.aligned_empty`` (whose docstring holds the measured reason):
+the iterates X, the gradient G and the next one, one scratch array, for
+several rows the stepsizes spread over the rows, and for a diagonal
+Hessian the products W. A step writes into them through ``out=`` (the
+stepsizes by one ``np.copyto``), G and the next gradient swap, and when
+rows stop the others move up into the leading rows in place. The same
+ufuncs and BLAS dots run in the same order as on fresh arrays, so every
+bit is the same.
+
 Concurrency: when a problem is large enough that every block is one row
 (n > BLOCK_ELEMENTS // 2), the calling thread and min(cores, blocks) - 1
 worker threads take the blocks from one shared queue, where cores are the
@@ -60,7 +70,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .problem import QuadraticProblem
+from .problem import QuadraticProblem, aligned_empty
 from .stepsize import StepsizeUndefinedError, bar_alpha_direct, hat_alpha_direct, yuan_stepsize
 
 __all__ = [
@@ -482,11 +492,15 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     ``x`` and ``g`` are shared between blocks and never written."""
     n = p.dim
     one = len(live) == 1
-    if one:
-        X, G = x.copy(), g
-    else:
-        X, G = np.tile(x, (len(live), 1)), np.tile(g, (len(live), 1))
-    W = p.apply(G)
+    # the working arrays, allocated once (see the module docstring); only
+    # a diagonal product is written into W, other kinds return a new one
+    diag = p.kind == "diag"
+    shape = n if one else (len(live), n)
+    X, G, G_new, S = (aligned_empty(shape) for _ in range(4))
+    AL = None if one else aligned_empty(shape)
+    np.copyto(X, x)
+    np.copyto(G, g)
+    W = p.apply(G, out=aligned_empty(shape) if diag else None)
     lagged = any(r.bars is not None for r in live)
     CGG = CWG = None
     while True:
@@ -546,18 +560,27 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
                 return
             keep = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in keep]
-            X, G, W = X[keep], G[keep], W[keep]
+            # the rows that go on move up, in order, into the leading rows
+            for j, i in enumerate(keep):
+                if i != j:
+                    X[j], G[j], W[j] = X[i], G[i], W[i]
+            m = len(keep)
+            X, G, G_new, W, AL, S = X[:m], G[:m], G_new[:m], W[:m], AL[:m], S[:m]
             lagged = any(r.bars is not None for r in live)
 
         # one step for every row: a lone row steps by a float, a block by
-        # a column of its rows' stepsizes
-        A = live[0].alpha if one else np.array([r.alpha for r in live])[:, None]
-        X -= A * G
-        G_new = G - A * W
-        W_new = p.apply(G_new)
+        # its rows' stepsizes, each spread over its row
+        if one:
+            A = live[0].alpha
+        else:
+            A = AL
+            np.copyto(A, np.array([r.alpha for r in live])[:, None])
+        np.subtract(X, np.multiply(A, G, out=S), out=X)
+        np.subtract(G, np.multiply(A, W, out=S), out=G_new)
         if lagged:
             CGG, CWG = _row_dots(G, G_new), _row_dots(W, G_new)
-        G, W = G_new, W_new
+        W = p.apply(G_new, out=W if diag else None)
+        G, G_new = G_new, G
 
 
 def run(

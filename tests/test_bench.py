@@ -115,6 +115,15 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="NaN"):
             box_plan([1e-6, math.nan], 100)
 
+    @pytest.mark.parametrize("eps", [-1e-6, math.inf])
+    def test_box_tolerance_negative_or_infinite(self, eps):
+        # a negative tolerance is never met, so every row would run to the cap
+        with pytest.raises(ValueError, match="box tolerances"):
+            box_plan([1e-6, eps], 5)
+
+    def test_box_tolerance_zero_is_accepted(self):
+        assert box_plan([0.0], 5).tolerances == [0.0]
+
 
 class TestRunPlan:
     def test_grid_rows(self):

@@ -147,6 +147,16 @@ class TestBoxRunConfig:
         with pytest.raises(ValueError):
             BoxRunConfig(sigma=0.0)
 
+    @pytest.mark.parametrize("eps_pg", [-1.0, math.inf, math.nan])
+    def test_eps_pg_negative_or_nonfinite(self, eps_pg):
+        with pytest.raises(ValueError, match="eps_pg"):
+            BoxRunConfig(eps_pg=eps_pg)
+
+    def test_max_iter_below_one(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            BoxRunConfig(max_iter=0)
+        assert BoxRunConfig(eps_pg=0.0, max_iter=1).max_iter == 1
+
     def test_variant_normalization(self):
         assert BoxRunConfig(variant="a1-bb1").variant == "A1_BB1"
 

@@ -91,6 +91,18 @@ def test_malformed_plan(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_box_tolerance_exits_1(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "problems": [{"kind": "box_suite"}], "strategies": [{"variant": "A1"}],
+        "tolerances": [-1e-6], "iter_cap": 5,
+    }))
+    rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert "box tolerances" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_bench_and_profile(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,26 @@ class TestHessianApply:
         for h in (np.array([1.0, 2.0]), np.array([[2.0, 1.0], [1.0, 2.0]])):
             p = QuadraticProblem(h)
             assert np.array_equal(p.hessian, h) and not np.shares_memory(p.hessian, h)
+
+    @pytest.mark.parametrize("kind", ["diag", "dense", "sparse"])
+    def test_only_a_diagonal_product_takes_out(self, kind):
+        h = {"diag": np.array([1.0, 2.0]), "dense": np.diag([1.0, 2.0]), "sparse": sp.diags([1.0, 2.0]).tocsr()}[kind]
+        p, v, out = QuadraticProblem(h), np.ones((3, 2)), np.empty((3, 2))
+        if kind == "diag":
+            assert p.apply(v, out=out) is out and np.array_equal(out, p.apply(v))
+        else:
+            with pytest.raises(ValueError, match="takes no out"):
+                p.apply(v, out=out)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_writes_its_own_copy_of_an_aligned_hessian(self):
+        p = QuadraticProblem(np.array([1.0, 2.0, 3.0]))
+        pid = os.fork()
+        if pid == 0:  # the child writes into its copy and leaves at once
+            p.hessian[:] = 99.0
+            os._exit(0 if p.hessian[0] == 99.0 else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+        assert p.hessian.tolist() == [1.0, 2.0, 3.0]
 
     def test_diag_positivity_enforced(self):
         with pytest.raises(ValueError):

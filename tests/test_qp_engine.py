@@ -422,6 +422,15 @@ class TestRunMany:
         failures = {tr.failure.split(" at ")[0] for tr in traces if tr.termination == "diverged"}
         assert failures == {"nonfinite objective", "stepsize undefined"}
 
+    @pytest.mark.parametrize("n", [999, 1000, 1001])
+    @pytest.mark.parametrize("dense", [False, True], ids=["diag", "dense"])
+    def test_rows_of_any_length(self, n, dense):
+        # the block's arrays start on cache lines; the rows of n = 999 and
+        # 1001 do not, and each still gives its solo run's bits
+        spec = SpectrumSpec("SET1", n, 1e4, 5)
+        p = gen_rotated_problem(spec) if dense else gen_diag_problem(spec)
+        assert_rows_equal_solo_runs(p, np.ones(n), every_method(), eps=1e-9, max_iter=60)
+
     def test_block_height_comes_from_the_problem_size(self, monkeypatch):
         # 3 rows of n = 40 fit one block of 2**16 elements; with room for
         # two rows the third runs in a second block; the traces are the same
@@ -434,6 +443,38 @@ class TestRunMany:
 
     def test_no_specs(self):
         assert run_many(QuadraticProblem(np.ones(2)), np.ones(2), []) == []
+
+
+class TestAlignedBuffers:
+    """A diagonal block's gradients and Hessian products, and the Hessian
+    itself, start on 64-byte cache lines."""
+
+    def test_dot_operands_and_products(self, monkeypatch):
+        n = 1000
+        p = gen_diag_problem(SpectrumSpec("TP1", n, 1e4, 1))
+        dotted, products, heights = set(), set(), []
+        row_dots, apply = qp_engine._row_dots, QuadraticProblem.apply
+
+        def recording_dots(a, b):
+            dotted.update((a.ctypes.data, b.ctypes.data))
+            return row_dots(a, b)
+
+        def recording_apply(self, v, out=None):
+            w = apply(self, v, out)
+            if out is not None:  # a product inside the block
+                heights.append(len(v))
+                products.add(w.ctypes.data)
+            return w
+
+        monkeypatch.setattr(qp_engine, "_row_dots", recording_dots)
+        monkeypatch.setattr(QuadraticProblem, "apply", recording_apply)
+        specs = [StrategySpec(m, h=h, s=s) for m in ("NEWS0", "NEWS") for h in (10, 20) for s in (20, 30, 50, 80, 100)]
+        run_many(p, np.ones(n), specs, eps=1e-6, max_iter=200)
+        # one block of 20 rows, from which rows left as they stopped
+        assert heights[0] == 20 > heights[-1]
+        starts = dotted | products | {p.hessian.ctypes.data}
+        assert products and products <= dotted and len(starts) >= 4
+        assert [a % 64 for a in starts] == [0] * len(starts)
 
 
 # (Hessian, b, start, strategy, cause named in the failure)
