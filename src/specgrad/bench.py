@@ -252,8 +252,8 @@ def _run_pooled(jobs: list, plan: ExperimentPlan, cpus: list[int]) -> list[list[
     re-raises the first error a child sends, with its own type. Children
     are forked, not spawned: they start at once with the caller's modules
     and jobs (suite entries hold closures, which do not pickle), and only
-    rows and errors are pickled back. specgrad runs no thread of its own
-    at the fork (``run_many`` joins its threads before it returns)."""
+    rows and errors are pickled back. specgrad starts no thread of its
+    own, so none is running at the fork."""
     import multiprocessing
 
     ctx = multiprocessing.get_context("fork")
@@ -308,11 +308,10 @@ def run_plan(plan: ExperimentPlan) -> list[dict]:
     instances) processes: the caller and W - 1 forked children, each
     pinned to its own CPU of the mask and taking the next instance as it
     finishes one, largest dimension first (stable among equals), so each
-    holds one instance at a time. A pinned process sees one CPU, so
-    ``qp_engine.run_many`` starts no thread inside a plan. With W = 1 the
-    caller runs every instance and nothing forks or pins (``taskset -c 0``
-    runs a plan serially). An error in any process starts no further
-    instance and is raised here with its own type.
+    holds one instance at a time. With W = 1 the caller runs every
+    instance and nothing forks or pins (``taskset -c 0`` runs a plan
+    serially). An error in any process starts no further instance and is
+    raised here with its own type.
     """
     # largest problems first, so that no long instance starts last and
     # runs alone while the other processes idle

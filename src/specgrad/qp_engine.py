@@ -14,7 +14,9 @@ row takes the same floating-point operations as a lone vector:
 - each row's inner products go through the BLAS dot that a 1-D
   ``a @ b`` calls (a stacked ``matmul`` of (1, n) by (n, 1) slices takes
   numpy's vector-dot path); vectors longer than ``DOT_CHUNK`` are dotted
-  chunk by chunk (see ``_dot``);
+  chunk by chunk (see ``_dot``), so no dot is long enough for the BLAS to
+  split it across its own threads and a trace does not depend on the
+  BLAS thread count;
 - the block updates and a diagonal Hessian product act per element,
   and a dense or sparse Hessian product is taken one row at a time,
   since a (B, n) @ A' product sums in another order;
@@ -31,37 +33,36 @@ undefined (the spectral quotient one step back at k = 2) the strategy
 takes its long-phase stepsize and the trace labels the iteration
 ``fallback``.
 
+Spans: a one-row block walks its vectors in column spans of
+``STEP_CHUNK`` elements. One pass over the spans takes both updates and
+the lagged cross dots, and after the Hessian product (one whole call) a
+second pass takes the next iterate's three dots, so each span is read
+from memory once per pass and dotted while it is still in L2. Spans of
+32k elements beat 16k and 64k ones: a step's vector work at n = 216,000
+took 0.72 ms against 0.78 and 0.77 ms, and 1.12 ms on whole vectors
+(the measurement is at ``STEP_CHUNK``). A span is a whole number of
+``DOT_CHUNK`` chunks, so each dot is the sum of the same chunk dots, in
+the same order, as when it is taken whole. A block of several rows,
+whose rows are at most ``BLOCK_ELEMENTS // 2`` long, takes its arrays
+whole, as one span.
+
 Buffers: a block takes its working arrays once, each from
 ``problem.aligned_empty`` (whose docstring holds the measured reason):
-the iterates X, the gradient G and the next one, one scratch array, for
-several rows the stepsizes spread over the rows, and for a diagonal
-Hessian the products W. A step writes into them through ``out=`` (the
-stepsizes by one ``np.copyto``), G and the next gradient swap, and when
-rows stop the others move up into the leading rows in place. The same
-ufuncs and BLAS dots run in the same order as on fresh arrays, so every
-bit is the same.
-
-Concurrency: when a problem is large enough that every block is one row
-(n > BLOCK_ELEMENTS // 2), the calling thread and min(cores, blocks) - 1
-worker threads take the blocks from one shared queue, where cores are the
-CPUs of the calling process's affinity mask. Such a row's time
-goes mostly to the Hessian product and the vector updates, native code
-that releases the interpreter lock; its chunk dots (``_dot``) hold it.
-Blocks of several rows run one after another on the calling thread, as
-their per-row rule arithmetic holds it. Each row performs the same
-operations wherever it runs, and no dot product is long enough for the
-BLAS to split it across its own threads, so a trace depends on neither
-the worker threads nor the BLAS thread count. Inside ``bench.run_plan``
-each process owns one CPU, so no worker thread starts there; direct
-callers (``specgrad solve`` and ``diag``) keep the threads.
+the iterates X, the gradient G and the next one, one scratch array S one
+span long, for several rows the stepsizes spread over the rows, and for
+a diagonal Hessian the products W. A step writes into them through
+``out=`` (the stepsizes by one ``np.copyto``), G and the next gradient
+swap, and when rows stop the others move up into the leading rows in
+place. The same ufuncs and BLAS dots run in the same order as on fresh
+arrays, so every bit is the same. Blocks run one after another in the
+calling thread; a plan gets its parallelism from ``bench.run_plan``'s
+processes.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -92,6 +93,15 @@ BLOCK_ELEMENTS = 2**16
 # (OpenBLAS splits a dot only above about 10^4 elements), so the chunked
 # sum is the same under any BLAS thread count.
 DOT_CHUNK = 8192
+
+# A one-row block steps span by span (see the module docstring). A span
+# of this many elements of X, G, the next G, W and S takes 1.25 MB of
+# the 2 MB L2 per core of a 2-core Xeon host. Measured there at
+# n = 216,000 (Laplace N = 60), one BLAS thread, best of 1000 steps: both
+# updates and the five dots took 1.00, 0.78, 0.72 and 0.77 ms in spans
+# of 8k, 16k, 32k and 64k elements, against 1.12 ms on whole vectors.
+STEP_CHUNK = 4 * DOT_CHUNK
+assert STEP_CHUNK % DOT_CHUNK == 0
 
 
 class _Row:
@@ -356,70 +366,38 @@ def _bar_alpha_cached(c: _Row, cross_gg: float, cross_wg: float) -> float | None
     return dd / dad
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a'b for two vectors as a Python float: ``a.dot(b)`` up to
-    ``DOT_CHUNK`` elements; beyond that the sum, left to right, of the
+def _dot(a: np.ndarray, b: np.ndarray, total: float | None = None) -> float:
+    """a'b for two vectors as a Python float: ``a.dot(b)`` below
+    ``DOT_CHUNK`` elements; from there the sum, left to right, of the
     dots of consecutive ``DOT_CHUNK``-element chunks (the rows of one
     stacked ``matmul``) and of the shorter tail, so the result does not
-    depend on the BLAS thread count."""
+    depend on the BLAS thread count. Given ``total``, the sum goes on
+    from it: the dots of column spans that are whole numbers of chunks,
+    each taken with the last one's result, sum to the dot taken whole."""
     n = a.shape[0]
-    if n <= DOT_CHUNK:
-        return float(a.dot(b))
     m = n - n % DOT_CHUNK
-    parts = np.matmul(a[:m].reshape(-1, 1, DOT_CHUNK), b[:m].reshape(-1, DOT_CHUNK, 1)).ravel().tolist()
-    if m < n:
-        parts.append(float(a[m:].dot(b[m:])))
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
+    if m:
+        parts = np.matmul(a[:m].reshape(-1, 1, DOT_CHUNK), b[:m].reshape(-1, DOT_CHUNK, 1)).ravel().tolist()
+        if m < n:
+            parts.append(float(a[m:].dot(b[m:])))
+    else:
+        parts = (float(a.dot(b)),)
+    for part in parts:
+        total = part if total is None else total + part
     return total
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> list[float]:
+def _row_dots(a: np.ndarray, b: np.ndarray, totals: list[float] | None = None) -> list[float]:
     """``_dot`` of every row pair of two (B, n) blocks, as Python floats; a
-    one-row block is a vector. Up to ``DOT_CHUNK`` elements a block takes
-    one stacked ``matmul``, whose rows are the BLAS dot of a 1-D
-    ``a_i @ b_i``."""
+    one-row block is a vector, whose dot goes on from ``totals[0]`` when
+    ``totals`` is given (a span's dot, see ``_dot``). Up to ``DOT_CHUNK``
+    elements a block takes one stacked ``matmul``, whose rows are the
+    BLAS dot of a 1-D ``a_i @ b_i``."""
     if a.ndim == 1:
-        return [_dot(a, b)]
+        return [_dot(a, b, None if totals is None else totals[0])]
     if a.shape[1] > DOT_CHUNK:
         return [_dot(u, v) for u, v in zip(a, b)]
     return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
-
-
-def _drain(tasks: list, work: Callable) -> None:
-    """Call ``work`` on every task: the calling thread and
-    min(cores in the affinity mask, tasks) - 1 worker threads take them
-    from one queue. The caller takes a share, so a worker's allocations
-    stay few. After the join the first exception any of them raised is
-    re-raised here, and no task is started after it."""
-    pending = deque(tasks)
-    errors = []
-
-    def take_tasks():
-        while True:
-            try:
-                task = pending.popleft()
-            except IndexError:
-                return
-            try:
-                work(task)
-            except Exception as exc:
-                errors.append(exc)
-                pending.clear()
-
-    cores = len(os.sched_getaffinity(0))
-    workers = [threading.Thread(target=take_tasks) for _ in range(min(cores, len(tasks)) - 1)]
-    for worker in workers:
-        worker.start()
-    try:
-        take_tasks()
-    finally:
-        pending.clear()  # an interrupted caller lets the workers finish early
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
 
 
 def run_many(
@@ -434,8 +412,8 @@ def run_many(
 
     Each strategy iterates until ||g_k|| <= eps * ||g_1|| or its step
     count hits max_iter. The strategies advance in lockstep blocks of at
-    most max(1, BLOCK_ELEMENTS // n) rows, and a row that stops leaves its
-    block. One-row blocks run concurrently (see the module docstring).
+    most max(1, BLOCK_ELEMENTS // n) rows, which run one after another, and
+    a row that stops leaves its block.
     Every trace is bitwise equal to that strategy run alone, whatever the
     other rows are, and the same under any BLAS thread count. The path
     does not depend on ``eps``, which only decides where it stops.
@@ -473,16 +451,8 @@ def run_many(
         else:
             rows.append(_Row(spec, f1, trace, grads, out))
     height = max(1, BLOCK_ELEMENTS // p.dim)
-    blocks = [rows[i : i + height] for i in range(0, len(rows), height)]
-
-    def run_block(live):
-        _run_block(p, x, g, live, tol, max_iter, traces)
-
-    if height == 1:
-        _drain(blocks, run_block)
-    else:
-        for live in blocks:
-            run_block(live)
+    for i in range(0, len(rows), height):
+        _run_block(p, x, g, rows[i : i + height], tol, max_iter, traces)
     return traces
 
 
@@ -496,15 +466,22 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     # a diagonal product is written into W, other kinds return a new one
     diag = p.kind == "diag"
     shape = n if one else (len(live), n)
-    X, G, G_new, S = (aligned_empty(shape) for _ in range(4))
+    # a lone row walks its vectors in spans, a block takes one span
+    width = min(n, STEP_CHUNK) if one else n
+    spans = [slice(lo, lo + width) for lo in range(0, n, width)]
+    X, G, G_new = (aligned_empty(shape) for _ in range(3))
+    S = aligned_empty(width if one else shape)
     AL = None if one else aligned_empty(shape)
     np.copyto(X, x)
     np.copyto(G, g)
     W = p.apply(G, out=aligned_empty(shape) if diag else None)
     lagged = any(r.bars is not None for r in live)
-    CGG = CWG = None
     while True:
-        GG, GW, WW = _row_dots(G, G), _row_dots(G, W), _row_dots(W, W)
+        # the dots of this iterate, in one pass over the spans
+        GG = GW = WW = None
+        for s in spans:
+            Gs, Ws = G[..., s], W[..., s]
+            GG, GW, WW = _row_dots(Gs, Gs, GG), _row_dots(Gs, Ws, GW), _row_dots(Ws, Ws, WW)
 
         done = []
         for i, r in enumerate(live):
@@ -569,16 +546,21 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
             lagged = any(r.bars is not None for r in live)
 
         # one step for every row: a lone row steps by a float, a block by
-        # its rows' stepsizes, each spread over its row
+        # its rows' stepsizes, each spread over its row; each span is
+        # updated and dotted in one pass
         if one:
             A = live[0].alpha
         else:
             A = AL
             np.copyto(A, np.array([r.alpha for r in live])[:, None])
-        np.subtract(X, np.multiply(A, G, out=S), out=X)
-        np.subtract(G, np.multiply(A, W, out=S), out=G_new)
-        if lagged:
-            CGG, CWG = _row_dots(G, G_new), _row_dots(W, G_new)
+        CGG = CWG = None
+        for s in spans:
+            Xs, Gs, Ns, Ws = X[..., s], G[..., s], G_new[..., s], W[..., s]
+            Ss = S[..., : Gs.shape[-1]]
+            np.subtract(Xs, np.multiply(A, Gs, out=Ss), out=Xs)
+            np.subtract(Gs, np.multiply(A, Ws, out=Ss), out=Ns)
+            if lagged:
+                CGG, CWG = _row_dots(Gs, Ns, CGG), _row_dots(Ws, Ns, CWG)
         W = p.apply(G_new, out=W if diag else None)
         G, G_new = G_new, G
 

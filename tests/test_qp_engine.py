@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import threading
 from collections import deque
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from specgrad.qp_engine import (
     BLOCK_ELEMENTS,
     DOT_CHUNK,
     METHODS,
+    STEP_CHUNK,
     RunTrace,
     StrategySpec,
     _dot,
@@ -33,7 +33,7 @@ from specgrad.qp_engine import (
 )
 from specgrad.stepsize import bar_alpha_direct, yuan_stepsize
 
-from reference import MONOTONE, aopt_stepsize, bb_pair, sd_stepsize
+from reference import MONOTONE, aopt_stepsize, bb_pair, reference_run, sd_stepsize
 
 
 def small_problem(seed=0, n=60, kappa=100.0, family="TP1"):
@@ -455,9 +455,9 @@ class TestAlignedBuffers:
         dotted, products, heights = set(), set(), []
         row_dots, apply = qp_engine._row_dots, QuadraticProblem.apply
 
-        def recording_dots(a, b):
+        def recording_dots(a, b, totals=None):
             dotted.update((a.ctypes.data, b.ctypes.data))
-            return row_dots(a, b)
+            return row_dots(a, b, totals)
 
         def recording_apply(self, v, out=None):
             w = apply(self, v, out)
@@ -545,19 +545,43 @@ def test_long_dots_sum_their_chunks_left_to_right(n):
 
 
 def test_dots_are_thread_independent_at_laplace_size():
-    # _dot, a one-row _row_dots and a block's _row_dots agree bitwise, and
-    # their bits are the same under 1 and 2 BLAS threads
+    # _dot, a one-row _row_dots, a block's _row_dots and the running sum
+    # over STEP_CHUNK spans agree bitwise, and their bits are the same
+    # under 1 and 2 BLAS threads
     script = (
         "import numpy as np\n"
-        "from specgrad.qp_engine import _dot, _row_dots\n"
+        "from specgrad.qp_engine import STEP_CHUNK, _dot, _row_dots\n"
         "rng = np.random.default_rng(3)\n"
         "a = rng.standard_normal((3, 216000)); b = rng.standard_normal((3, 216000)) * rng.random(216000)\n"
         "vec = [_dot(u, v) for u, v in zip(a, b)]\n"
         "assert _row_dots(a, b) == vec and [_row_dots(u, v)[0] for u, v in zip(a, b)] == vec\n"
+        "spanned = []\n"
+        "for u, v in zip(a, b):\n"
+        "    total = None\n"
+        "    for lo in range(0, 216000, STEP_CHUNK):\n"
+        "        total = _dot(u[lo : lo + STEP_CHUNK], v[lo : lo + STEP_CHUNK], total)\n"
+        "    spanned.append(total)\n"
+        "assert spanned == vec\n"
         "print([x.hex() for x in vec])\n"
     )
     one, two = (run_in_subprocess(script, threads) for threads in ("1", "2"))
     assert one == two and one.count("0x") == 3
+
+
+@pytest.mark.parametrize("n", [STEP_CHUNK, STEP_CHUNK + 1, 2 * STEP_CHUNK + DOT_CHUNK + 17])
+def test_spans_keep_the_plain_loop_bits(n):
+    # one full span, a last span of one element, and a last span of one
+    # chunk and a tail: every bit of the plain reference loop
+    rng = np.random.default_rng(n)
+    d = rng.permutation(np.geomspace(1.0, 1e3, n))
+    b = rng.standard_normal(n)
+    p = QuadraticProblem(d, b)
+    for method, kw in (("SD", {}), ("BB1", {}), ("DY", {}), ("NEWS", {"h": 3, "s": 2})):
+        trace = run(p, np.ones(n), StrategySpec(method, **kw), eps=1e-8, max_iter=60)
+        f, gnorm, alpha, x_final, termination = reference_run(d, b, np.ones(n), method, eps=1e-8, max_iter=60, **kw)
+        assert (trace.termination, trace.iterations) == (termination, len(alpha)) == ("iter_cap", 60)
+        for got, want in ((trace.f, f), (trace.gnorm, gnorm), (trace.alpha, alpha), (trace.x_final, x_final)):
+            assert got.tobytes() == want.tobytes(), method
 
 
 @pytest.fixture(scope="module")
@@ -569,7 +593,8 @@ def laplace_b33():
 
 
 class TestConcurrentBlocks:
-    """One-row blocks run on several threads; every row is its solo run."""
+    """Several one-row blocks of one ``run_many`` call, each walked in
+    spans; every row is its solo run."""
 
     def test_rows_equal_solo_runs_with_retention(self, laplace_b33):
         # a short cap keeps the retained gradients small
@@ -580,21 +605,6 @@ class TestConcurrentBlocks:
         x1 = np.zeros(laplace_b33.dim)
         traces = assert_rows_equal_solo_runs(laplace_b33, x1, every_method(3, 2), eps=1e-3, max_iter=300)
         assert {tr.termination for tr in traces} == {"gradient_tol"}
-
-    def test_more_threads_than_cores(self, laplace_b33, monkeypatch):
-        # eight threads switching every microsecond over 16 rows
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        specs = every_method(3, 2) + [StrategySpec("NEWS", h=5, s=7), StrategySpec("DY"), StrategySpec("BB1")]
-        x1 = np.zeros(laplace_b33.dim)
-        solos = [run(laplace_b33, x1, spec, eps=1e-9, max_iter=40) for spec in specs]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            traces = run_many(laplace_b33, x1, specs, eps=1e-9, max_iter=40)
-        finally:
-            sys.setswitchinterval(interval)
-        for a, b in zip(traces, solos):
-            assert_same_trace(a, b)
 
     def test_shared_start_is_not_written(self, laplace_b33, monkeypatch):
         seen = []
@@ -609,47 +619,6 @@ class TestConcurrentBlocks:
         assert len(seen) == len(METHODS)
         for x, x_before, g, g_before in seen:
             assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        # the caller and the worker each hold a block; the worker raises
-        # once the caller holds its block, and the third is never started
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        p = QuadraticProblem(np.ones(5))
-        monkeypatch.setattr(qp_engine, "BLOCK_ELEMENTS", 5)
-        holding, raised, started = threading.Event(), threading.Event(), []
-
-        def failing(p, x, g, live, *args):
-            started.append(threading.current_thread())
-            if threading.current_thread() is threading.main_thread():
-                holding.set()
-                assert raised.wait(timeout=60)
-            else:
-                assert holding.wait(timeout=60)
-                raised.set()
-                raise FloatingPointError("in a worker")
-
-        monkeypatch.setattr(qp_engine, "_run_block", failing)
-        with pytest.raises(FloatingPointError, match="in a worker"):
-            run_many(p, np.ones(5), [StrategySpec("SD"), StrategySpec("BB1"), StrategySpec("DY")])
-        assert len(started) == 2
-        (worker,) = set(started) - {threading.main_thread()}
-        assert not worker.is_alive()
-
-    def test_multi_row_blocks_stay_on_the_caller(self, monkeypatch):
-        # n = 40 with room for two rows: two blocks, both run by the caller
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        monkeypatch.setattr(qp_engine, "BLOCK_ELEMENTS", 80)
-        threads = []
-        run_block = qp_engine._run_block
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            run_block(*args)
-
-        monkeypatch.setattr(qp_engine, "_run_block", recording)
-        p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 2))
-        run_many(p, np.ones(40), [StrategySpec("BB1"), StrategySpec("NEWS", h=3, s=5), StrategySpec("DY")])
-        assert threads == [threading.main_thread()] * 2
 
     def test_traces_are_thread_independent(self):
         # all 13 methods on the one-row Laplacian; digest of every field
