@@ -205,7 +205,7 @@ def _execute(job, plan: ExperimentPlan) -> list[dict]:
     entry, rows = job[1], []
     for strat in plan.strategies:
         c = box_solver.BoxRunConfig(**strat, eps_pg=eps, max_iter=cap)
-        h, s = ("", "") if c.variant == "SPG" else (c.h, c.s)
+        h, s = (c.h, c.s) if c.variant in box_solver.HS_VARIANTS else ("", "")
         # the trace goes straight into _rows, so it and its line-search
         # records are freed before the next strategy runs
         rows += _rows(

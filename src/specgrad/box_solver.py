@@ -19,12 +19,12 @@ reference value is managed by ``update_reference``: an improvement over
 the best value resets the scheme, while M consecutive non-improving
 steps promote the worst recent candidate to become the new reference.
 
-The SPG variant is the classic spectral projected gradient baseline
-(Birgin, Martinez and Raydan, SIAM J. Optim. 10, 2000) run by the same
-loop and the same search: it takes the safeguarded BB1 stepsize s's/s'y
-instead of the memory-based rules, and pins the reference value to
-f_r = f_max after every accepted step, which turns the search into the
-max-of-last-M Armijo test.
+Each variant is one row of the table ``_VARIANTS``; ``solve_box`` reads
+the row and names no variant, so a new variant is one more row. SPG is
+the classic spectral projected gradient baseline (Birgin, Martinez and
+Raydan, SIAM J. Optim. 10, 2000): it takes the safeguarded BB1 stepsize
+s's/s'y, keeps no stepsize memory and pins the reference value to
+f_r = f_max, which turns the search into the max-of-last-M Armijo test.
 
 A run that fails is returned, not raised: its trace ends ``diverged`` on
 a nonfinite objective or gradient norm at the start or at an accepted
@@ -37,6 +37,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +55,6 @@ __all__ = [
     "update_reference",
     "solve_box",
 ]
-
-BOX_VARIANTS = ("A1", "A1_BB1", "A1_BB2", "SPG")
 
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
@@ -187,12 +187,54 @@ def _initial_alpha(norm: float, cfg: BoxRunConfig) -> float:
     return _safeguard(1.0 / norm if norm > 0.0 else 1.0, cfg)
 
 
-# long-phase trial stepsize of the A1 variants, read from the stepsize memory
-_A1_LONG = {
-    "A1": lambda mem: p_stepsize(mem),  # looked up per call, so a wrapper on the module name sees it
-    "A1_BB1": lambda mem: mem.barbb1_cur,
-    "A1_BB2": lambda mem: mem.barbb2_cur,
+def _bb1(cfg, mem, k, alpha, s, g, g_new, rec) -> tuple[float, str]:
+    """SPG's rule: the safeguarded BB1 stepsize s's/s'y (``bb``), or
+    alpha_max when s'y <= 0 (``sy_nonpos``)."""
+    sty = float(s.dot(g_new - g))
+    if sty > 0.0:
+        return _safeguard(float(s.dot(s)) / sty, cfg), "bb"
+    return cfg.alpha_max, "sy_nonpos"
+
+
+def _long_short(long, cfg, mem, k, alpha, s, g, g_new, rec) -> tuple[float, str]:
+    """A1's rule around its long-phase value ``long(mem)``, after the step
+    is pushed into the memory: 1/||g|| when s'y <= 0 (``sy_nonpos``), else
+    the long value in the long phase of the (h, s) schedule (``long``) and
+    in the short phase that value capped by a positive spectral estimate
+    (``short_min``, recorded as ``spectral``), else BB2 (``short_bb2``)."""
+    mem.push(g_new, s, alpha_used=alpha)
+    rec["spectral"] = None
+    if not float(s.dot(mem.y_prev)) > 0.0:
+        return (1.0 / mem.gnorm_cur if mem.gnorm_cur > 0.0 else 1.0), "sy_nonpos"
+    long_next = long(mem)
+    if k % (cfg.h + cfg.s) < cfg.h:
+        return _safeguard(long_next, cfg), "long"
+    try:
+        rec["spectral"] = spectral = bar_alpha_general(mem)
+    except StepsizeUndefinedError:
+        return _safeguard(mem.barbb2_cur, cfg), "short_bb2"
+    if math.isfinite(spectral) and spectral > 0.0:
+        return _safeguard(min(spectral, long_next), cfg), "short_min"
+    return _safeguard(mem.barbb2_cur, cfg), "short_bb2"
+
+
+class _Variant(NamedTuple):
+    first_pg: bool  # the first trial stepsize is 1/pg, else 1/||g||
+    retry: bool  # an arc that collapsed numerically (g'd >= 0) retries once at 1/||g||
+    step: Callable  # (cfg, memory, k, alpha, s, g, g_new, record) -> (next trial stepsize, label)
+    pin_f_r: bool  # f_r = f_max after every accepted step
+    schedule: bool  # reads the (h, s) schedule, so its result rows carry h and s
+
+
+_VARIANTS = {
+    # p_stepsize is looked up per call, so a wrapper on the module name sees it
+    "A1": _Variant(False, True, partial(_long_short, lambda mem: p_stepsize(mem)), False, True),
+    "A1_BB1": _Variant(False, True, partial(_long_short, lambda mem: mem.barbb1_cur), False, True),
+    "A1_BB2": _Variant(False, True, partial(_long_short, lambda mem: mem.barbb2_cur), False, True),
+    "SPG": _Variant(True, False, _bb1, True, False),
 }
+BOX_VARIANTS = tuple(_VARIANTS)
+HS_VARIANTS = frozenset(v for v, row in _VARIANTS.items() if row.schedule)
 
 
 def solve_box(
@@ -203,16 +245,9 @@ def solve_box(
 ) -> RunTrace:
     """Gradient projection with the adaptive nonmonotone line search.
 
-    The trial stepsize for the next iteration is updated after each
-    accepted step. For A1/A1_BB1/A1_BB2, when s'y > 0 the long phase takes
-    the variant's stepsize (norm ratio over the masked gradient difference
-    for A1, the masked BB pair for A1_BB1/A1_BB2) and the short phase caps
-    it with the reconstructed spectral estimate when that estimate is
-    positive, falling back to the short BB stepsize otherwise; when
-    s'y <= 0 the next stepsize is 1/||g||. SPG takes the safeguarded BB1
-    stepsize s's/s'y, or alpha_max when s'y <= 0, and searches with
-    f_r = f_max. Stops when the projected gradient sup-norm reaches
-    cfg.eps_pg.
+    Each decision that differs between variants is a field of the row of
+    ``cfg.variant`` in ``_VARIANTS`` (see ``_Variant``). Stops when the
+    projected gradient sup-norm reaches cfg.eps_pg.
 
     A failed run is returned as its trace up to the last accepted iterate
     (``x_final``), with the cause in ``failure``: ``diverged`` on a
@@ -221,7 +256,7 @@ def solve_box(
     or no step is accepted after ``MAX_BACKTRACKS`` backtracks. The
     evaluation counts include the failed search.
     """
-    spg = cfg.variant == "SPG"
+    row = _VARIANTS[cfg.variant]
     x = bounds.project(np.asarray(x1, dtype=np.float64))
     g = oracle.grad(x)
     fx = oracle.f(x)
@@ -247,14 +282,13 @@ def solve_box(
     ls = LineSearchState.fresh(fx, M=cfg.M, sigma=cfg.sigma)
     mem = StepsizeMemory()
     mem.start(g)
-    alpha = _initial_alpha(pg if spg else gnorm, cfg)
+    alpha = _initial_alpha(pg if row.first_pg else gnorm, cfg)
 
     k = 1
     while not trace.stop(pg):
         d = direction(x, g, alpha, bounds)
         gd = float(g.dot(d))
-        if gd >= 0.0 and not spg:
-            # alpha so small the arc collapsed numerically; retry once at 1/||g||
+        if gd >= 0.0 and row.retry:
             alpha = _initial_alpha(gnorm, cfg)
             d = direction(x, g, alpha, bounds)
             gd = float(g.dot(d))
@@ -269,47 +303,16 @@ def solve_box(
             return finish("diverged", f"nonfinite objective at iteration {k}")
 
         g_new = oracle.grad(x_new)
-        s = x_new - x
-        if spg:
-            gnorm = math.sqrt(g_new.dot(g_new))
-        else:
-            mem.push(g_new, s, alpha_used=alpha)
-            gnorm = mem.gnorm_cur
+        gnorm = math.sqrt(g_new.dot(g_new))
         if not math.isfinite(gnorm):
             return finish("diverged", f"nonfinite gradient norm at iteration {k}")
         rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma,
                "lam": lam, "f_new": f_new, "unit": unit}
         records.append(rec)
-        if spg:
-            sty = float(s.dot(g_new - g))
-            if sty > 0.0:
-                alpha, label = _safeguard(float(s.dot(s)) / sty, cfg), "bb"
-            else:
-                alpha, label = cfg.alpha_max, "sy_nonpos"
-        else:
-            sty = float(s.dot(mem.y_prev))
-            short = k % (cfg.h + cfg.s) >= cfg.h
-            spectral = None
-            if sty > 0.0 and short:
-                try:
-                    spectral = bar_alpha_general(mem)
-                except StepsizeUndefinedError:
-                    pass
-            rec["spectral"] = spectral
-            if sty > 0.0:
-                long_next = _A1_LONG[cfg.variant](mem)
-                if not short:
-                    tilde, label = long_next, "long"
-                elif spectral is not None and math.isfinite(spectral) and spectral > 0.0:
-                    tilde, label = min(spectral, long_next), "short_min"
-                else:
-                    tilde, label = mem.barbb2_cur, "short_bb2"
-                alpha = _safeguard(tilde, cfg)
-            else:
-                alpha, label = (1.0 / gnorm if gnorm > 0.0 else 1.0), "sy_nonpos"
+        alpha, label = row.step(cfg, mem, k, alpha, x_new - x, g, g_new, rec)
 
         update_reference(ls, f_new)
-        if spg:
+        if row.pin_f_r:
             ls.f_r = ls.f_max
         x, g = x_new, g_new
         pg = _pg_norm(x, g, bounds)

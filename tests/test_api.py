@@ -7,6 +7,7 @@ import ast
 from pathlib import Path
 
 import specgrad
+from specgrad import box_solver
 
 SRC = Path(specgrad.__file__).parent
 
@@ -49,3 +50,23 @@ def test_every_public_name_is_used_inside_the_package():
             if not used:
                 unused.append(f"{module}.{name}")
     assert unused == []
+
+
+def test_box_variants_are_named_only_in_their_table():
+    """A box variant differs from the others only by its row of
+    ``box_solver._VARIANTS``: no code names a variant outside that table,
+    except ``BoxRunConfig``'s default ``variant``."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    allowed = set()
+    for node in ast.walk(trees["box_solver"]):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "_VARIANTS" for t in node.targets):
+            allowed.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.ClassDef) and node.name == "BoxRunConfig":
+            allowed.update(id(s.value) for s in node.body if isinstance(s, ast.AnnAssign) and s.target.id == "variant")
+    named = [
+        f"{module}:{node.lineno} {node.value!r}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in box_solver.BOX_VARIANTS and id(node) not in allowed
+    ]
+    assert named == []

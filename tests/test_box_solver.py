@@ -162,7 +162,7 @@ class TestBoxRunConfig:
 
 
 class TestSolveBox:
-    @pytest.mark.parametrize("variant", ["A1", "A1_BB1", "A1_BB2"])
+    @pytest.mark.parametrize("variant", box_solver.BOX_VARIANTS)
     def test_unconstrained_quadratic(self, variant):
         p = gen_diag_problem(SpectrumSpec("SET1", 40, 1e3, 3))
         cfg = BoxRunConfig(variant=variant)
@@ -217,14 +217,15 @@ class TestSolveBox:
         assert tr.termination == "gradient_tol"
         np.testing.assert_allclose(tr.x_final, np.ones(5))
 
-    def test_branch_labels_cover_algorithm(self):
+    @pytest.mark.parametrize("variant", sorted(box_solver.HS_VARIANTS))
+    def test_branch_labels_cover_algorithm(self, variant):
         labels = set()
         for seed in (1, 2, 3):
             p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e4, seed))
             tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40),
-                           BoxRunConfig(h=4, s=4))
+                           BoxRunConfig(h=4, s=4, variant=variant))
             labels.update(tr.branch)
-        assert {"long", "short_min"} <= labels
+        assert {"long", "short_min"} <= labels <= {"long", "short_min", "short_bb2", "sy_nonpos"}
 
     def test_quadratic_consistency_of_reconstructed_spectral_value(self):
         # with unit steps and free bounds the reconstruction must agree with
@@ -449,6 +450,22 @@ class TestSharedBoxLoop:
         tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant=variant, h=4, s=4))
         assert tr.iterations > 10
         assert len(calls) == tr.iterations
+
+    def test_a1_reads_p_stepsize_through_the_module(self, monkeypatch):
+        # a wrapper on the module name, as a profiler installs it, sees every call
+        calls = []
+        original = box_solver.p_stepsize
+
+        def counting(mem):
+            calls.append(None)
+            return original(mem)
+
+        monkeypatch.setattr(box_solver, "p_stepsize", counting)
+        p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 7))
+        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant="A1", h=4, s=4))
+        # one call per step with s'y > 0, whether its phase is long or short
+        assert tr.branch.count("long") > 0
+        assert len(calls) == tr.iterations - tr.branch.count("sy_nonpos")
 
     def test_spg_keeps_no_stepsize_memory(self, monkeypatch):
         pushes = []

@@ -592,9 +592,9 @@ def laplace_b33():
     return p
 
 
-class TestConcurrentBlocks:
-    """Several one-row blocks of one ``run_many`` call, each walked in
-    spans; every row is its solo run."""
+class TestOneRowBlocksInTurn:
+    """Several one-row blocks of one ``run_many`` call, run one after
+    another and each walked in spans; every row is its solo run."""
 
     def test_rows_equal_solo_runs_with_retention(self, laplace_b33):
         # a short cap keeps the retained gradients small
