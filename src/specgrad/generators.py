@@ -192,23 +192,6 @@ def gen_rotated_equivalent(spec: SpectrumSpec, x1: np.ndarray) -> tuple[Quadrati
     return QuadraticProblem(v, bt), x1t
 
 
-def _laplace_matrix(N: int):
-    """The 7-point stencil matrix (6 on the diagonal, -1 per grid
-    neighbour) of index (k*N + j)*N + i, as CSR arrays built directly,
-    columns ascending in every row."""
-    import scipy.sparse as sp
-    n = N**3
-    r = np.arange(n, dtype=np.int32)
-    i, j, k = r % N, r // N % N, r // (N * N)
-    offsets = np.array([-N * N, -N, -1, 0, 1, N, N * N], dtype=np.int32)
-    inside = np.stack([k > 0, j > 0, i > 0, np.ones(n, dtype=bool), i < N - 1, j < N - 1, k < N - 1], axis=1)
-    indices = (r[:, None] + offsets)[inside]
-    data = np.broadcast_to(np.where(offsets == 0, 6.0, -1.0), inside.shape)[inside]
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(inside.sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
 def gen_laplace3d(spec: LaplaceSpec) -> tuple[QuadraticProblem, np.ndarray]:
     """Unscaled 7-point Laplacian system with a known solution.
 
@@ -220,10 +203,12 @@ def gen_laplace3d(spec: LaplaceSpec) -> tuple[QuadraticProblem, np.ndarray]:
     is x_star exactly.
     The 1/h^2 stencil scaling is omitted: it rescales both sides and
     leaves the conditioning untouched.
+    The problem is ``QuadraticProblem.laplace3d``, kind ``stencil``, and
+    b comes from its matrix-free product: no sparse matrix is built.
     """
     N = spec.N
     sigma, ca, cb, cg = spec.params
-    a = _laplace_matrix(N)
+    a = QuadraticProblem.laplace3d(N)
     u = np.arange(1, N + 1) / (N + 1.0)
     damp = u * (u - 1.0)
     decay = 0.5 * sigma * sigma
@@ -232,8 +217,7 @@ def gen_laplace3d(spec: LaplaceSpec) -> tuple[QuadraticProblem, np.ndarray]:
     fz = np.exp(-decay * (u - cg) ** 2) * damp
     # index = (k*N + j)*N + i: z slowest, x fastest
     x_star = np.einsum("k,j,i->kji", fz, fy, fx).ravel()
-    b = a @ x_star
-    return QuadraticProblem(a, b), x_star
+    return QuadraticProblem.laplace3d(N, a.apply(x_star)), x_star
 
 
 def laplace_eigen_bounds(N: int) -> tuple[float, float]:

@@ -1,10 +1,11 @@
 """Problem abstractions: quadratic objectives, box constraints, smooth oracles.
 
 A quadratic problem is min 0.5*x'Ax - b'x with A symmetric positive
-definite. The Hessian A may be stored dense, as a diagonal vector, or as
-a sparse symmetric matrix; all solver code only ever needs Hessian-vector
-products. Box constraints are per-coordinate intervals, possibly
-unbounded (IEEE +-inf sentinels). General smooth objectives enter through
+definite. The Hessian A may be stored dense, as a diagonal vector, as a
+sparse symmetric matrix, or, for the 3-D 7-point Laplacian, as its grid
+size alone; all solver code only ever needs Hessian-vector products.
+Box constraints are per-coordinate intervals, possibly unbounded (IEEE
++-inf sentinels). General smooth objectives enter through
 ``ObjectiveOracle``, a thin wrapper counting function/gradient calls.
 """
 
@@ -21,6 +22,17 @@ _F64 = np.dtype(np.float64)
 
 # the array keys each explicit problem kind requires (see from_json)
 _ARRAY_KEYS = {"diag": {"eigenvalues"}, "dense": {"matrix"}, "sparse": {"n", "rows", "cols", "vals"}}
+
+# A stencil product (see ``QuadraticProblem._stencil``) walks the grid in
+# slabs of max(1, STENCIL_SLAB // N^2) whole z-planes, so that each slab
+# of the output stays in L2 (2 MB per core) through its passes: 9 planes
+# at N = 60, 3 at N = 100. Measured on a 2-core Xeon host, one BLAS
+# thread, median of 200 products at N = 60 and of 60 at N = 100, in ms:
+#   slab elements   8k    16k   32k   48k   64k   128k  whole grid | CSR
+#   N = 60          1.67  1.16  0.95  0.91  0.97  1.18  1.54       | 2.59
+#   N = 100         7.16  6.83  5.34  5.23  5.26  7.03  9.45       | 13.05
+# Slabs of 32k to 64k elements lie within 5% of each other on repeats.
+STENCIL_SLAB = 2**15
 
 
 def aligned_empty(shape) -> np.ndarray:
@@ -62,7 +74,11 @@ class QuadraticProblem:
         Linear term; defaults to the zero vector.
 
     An empty (n = 0) Hessian, nonfinite Hessian or ``b`` entries, and a
-    dense Hessian that is not exactly symmetric raise ``ValueError``.
+    dense or sparse Hessian that is not exactly symmetric raise
+    ``ValueError``.
+
+    ``laplace3d(N, b)`` builds the fourth kind, ``stencil``: the 3-D
+    7-point Laplacian, stored as its grid size N and applied matrix-free.
 
     The stored problem is immutable; solvers share instances freely. A
     float64 CSR Hessian is kept as given, not copied, so that problems
@@ -85,6 +101,8 @@ class QuadraticProblem:
                 raise ValueError("sparse Hessian must be square")
             if not np.isfinite(self._h.data).all():
                 raise ValueError("Hessian entries must be finite")
+            if (self._h != self._h.T).nnz:
+                raise ValueError("sparse Hessian must be exactly symmetric")
         else:
             h = np.asarray(hessian, dtype=np.float64)
             if not np.isfinite(h).all():
@@ -108,6 +126,29 @@ class QuadraticProblem:
                 raise ValueError("Hessian must be a vector, matrix, or sparse matrix")
         if n == 0:
             raise ValueError("problem dimension must be positive")
+        self._set_b(n, b)
+
+    @classmethod
+    def laplace3d(cls, N: int, b=None) -> "QuadraticProblem":
+        """The unscaled 3-D 7-point Laplacian on an N x N x N interior grid
+        (6 on the diagonal, -1 per grid neighbour, Dirichlet boundary;
+        index (k*N + j)*N + i, x fastest), kind ``stencil``.
+
+        It stores N and one slab of scratch, and builds no matrix: its
+        products run the stencil (bit for bit the product with
+        ``_laplace_matrix(N)``), and ``hessian`` builds that CSR matrix on
+        first read.
+        """
+        if N < 1:
+            raise ValueError("problem dimension must be positive")
+        p = cls.__new__(cls)
+        p.kind, p._h, p._grid = "stencil", None, N
+        planes = max(1, STENCIL_SLAB // (N * N))
+        p._slab, p._edge = aligned_empty((planes, N, N)), np.empty((planes, N))
+        p._set_b(N**3, b)
+        return p
+
+    def _set_b(self, n: int, b) -> None:
         self.dim = n
         if b is None:
             self.b = np.zeros(n)
@@ -120,19 +161,26 @@ class QuadraticProblem:
 
     @property
     def hessian(self):
+        """The stored Hessian; for a ``stencil`` problem its CSR matrix,
+        built on first read and kept (products never read it)."""
+        if self._h is None:
+            self._h = _laplace_matrix(self._grid)
         return self._h
 
     def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Hessian-vector product A v, or A v_i for every row v_i of a (B, n) block.
 
         Each row's product is bitwise the product of that row alone: a
-        diagonal Hessian multiplies per element, and a dense or sparse one
-        takes one product per row, because a (B, n) @ A' product sums in
-        another order. A float64 vector of length n is used as given.
+        diagonal Hessian multiplies per element, and a dense, sparse or
+        stencil one takes one product per row, because a (B, n) @ A'
+        product sums in another order. A float64 vector of length n is
+        used as given.
 
-        A diagonal product is written into ``out`` (a float64 C array of
-        v's shape, not v itself) when one is given; a block reuses one
-        array from ``aligned_empty`` this way. Other kinds take no ``out``.
+        A diagonal or stencil product is written into ``out`` (a float64 C
+        array of v's shape, not v itself) when one is given; a block
+        reuses one array from ``aligned_empty`` this way. Dense and sparse
+        products take no ``out``. A stencil product uses the problem's
+        scratch slab, so one problem runs one product at a time.
         """
         if type(v) is not np.ndarray or v.dtype is not _F64 or v.shape != (self.dim,):
             v = np.asarray(v, dtype=np.float64)
@@ -140,11 +188,50 @@ class QuadraticProblem:
                 raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},) or (B, {self.dim})")
         if self.kind == "diag":
             return np.multiply(self._h, v, out=out)
+        if self.kind == "stencil":
+            if out is None:
+                out = np.empty(v.shape)
+            with np.errstate(all="ignore"):  # the CSR product it equals warns of nothing
+                for row, dst in zip(v.reshape(-1, self.dim), out.reshape(-1, self.dim)):
+                    self._stencil(row, dst)
+            return out
         if out is not None:
             raise ValueError(f"a {self.kind} Hessian takes no out array")
         if v.ndim == 2:
             return np.stack([self._h @ row for row in v])
         return self._h @ v
+
+    def _stencil(self, v: np.ndarray, out: np.ndarray) -> None:
+        """out = A v for the 7-point Laplacian, slab by slab of z-planes.
+
+        Each row sums its terms in the order of the CSR row's ascending
+        columns, as scipy's ``csr_matvec`` does: from +0, minus v at
+        k-1, j-1 and i-1, plus 6 v, minus v at i+1, j+1 and k+1, each
+        operation rounded once. A term outside the grid is skipped (the
+        matrix stores none), so the result is the CSR product bit for
+        bit, signed zeros included. The i-1 and i+1 terms are taken as
+        one shift of the whole slab; the rows at the x-boundary, which
+        have no such term, are saved before and put back after it.
+        """
+        N, T, E = self._grid, self._slab, self._edge
+        V, O = v.reshape(N, N, N), out.reshape(N, N, N)
+        for lo in range(0, N, T.shape[0]):
+            hi = min(lo + T.shape[0], N)
+            o, vs, e = O[lo:hi], V[lo:hi], E[: hi - lo]
+            of, vf = o.reshape(-1), vs.reshape(-1)
+            a, z = max(lo, 1) - lo, min(hi, N - 1) - lo  # planes with a k-1, a k+1 neighbour
+            o[:a] = 0.0
+            np.subtract(0.0, V[lo + a - 1 : hi - 1], out=o[a:])
+            np.subtract(o[:, 1:], vs[:, :-1], out=o[:, 1:])
+            np.copyto(e, o[:, :, 0])
+            np.subtract(of[1:], vf[:-1], out=of[1:])
+            np.copyto(o[:, :, 0], e)
+            np.add(o, np.multiply(vs, 6.0, out=T[: hi - lo]), out=o)
+            np.copyto(e, o[:, :, -1])
+            np.subtract(of[:-1], vf[1:], out=of[:-1])
+            np.copyto(o[:, :, -1], e)
+            np.subtract(o[:, :-1], vs[:, 1:], out=o[:, :-1])
+            np.subtract(o[:z], V[lo + 1 : lo + z + 1], out=o[:z])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient A x - b."""
@@ -155,14 +242,15 @@ class QuadraticProblem:
         return 0.5 * float(x.dot(self.apply(x))) - float(self.b.dot(x))
 
     def solution(self) -> np.ndarray:
-        """Exact minimizer A^{-1} b (test oracle; dense solve for sparse kinds)."""
+        """Exact minimizer A^{-1} b (test oracle; sparse direct solve for
+        the sparse and stencil kinds)."""
         if self.kind == "diag":
             return self.b / self._h
         if self.kind == "dense":
             return np.linalg.solve(self._h, self.b)
         from scipy.sparse.linalg import spsolve
 
-        return spsolve(self._h.tocsc(), self.b)
+        return spsolve(self.hessian.tocsc(), self.b)
 
     def as_oracle(self) -> "ObjectiveOracle":
         """Fresh counting oracle over this objective (one per solver run)."""
@@ -202,6 +290,24 @@ class QuadraticProblem:
 
     def __repr__(self) -> str:
         return f"QuadraticProblem(kind={self.kind!r}, dim={self.dim})"
+
+
+def _laplace_matrix(N: int):
+    """The 7-point stencil matrix (6 on the diagonal, -1 per grid
+    neighbour) of index (k*N + j)*N + i, as CSR arrays built directly,
+    columns ascending in every row: the reference for a ``stencil``
+    problem's product."""
+    import scipy.sparse as sp
+    n = N**3
+    r = np.arange(n, dtype=np.int32)
+    i, j, k = r % N, r // N % N, r // (N * N)
+    offsets = np.array([-N * N, -N, -1, 0, 1, N, N * N], dtype=np.int32)
+    inside = np.stack([k > 0, j > 0, i > 0, np.ones(n, dtype=bool), i < N - 1, j < N - 1, k < N - 1], axis=1)
+    indices = (r[:, None] + offsets)[inside]
+    data = np.broadcast_to(np.where(offsets == 0, 6.0, -1.0), inside.shape)[inside]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(inside.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _resolve_b(spec, n: int) -> np.ndarray | None:

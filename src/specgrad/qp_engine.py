@@ -18,8 +18,8 @@ row takes the same floating-point operations as a lone vector:
   split it across its own threads and a trace does not depend on the
   BLAS thread count;
 - the block updates and a diagonal Hessian product act per element,
-  and a dense or sparse Hessian product is taken one row at a time,
-  since a (B, n) @ A' product sums in another order;
+  and a dense, sparse or stencil Hessian product is taken one row at a
+  time, since a (B, n) @ A' product sums in another order;
 - all rule arithmetic runs on Python floats, one row at a time (numpy's
   vectorised square differs from Python's ``x**2`` in the last bit of
   some doubles).
@@ -50,12 +50,12 @@ Buffers: a block takes its working arrays once, each from
 ``problem.aligned_empty`` (whose docstring holds the measured reason):
 the iterates X, the gradient G and the next one, one scratch array S one
 span long, for several rows the stepsizes spread over the rows, and for
-a diagonal Hessian the products W. A step writes into them through
-``out=`` (the stepsizes by one ``np.copyto``), G and the next gradient
-swap, and when rows stop the others move up into the leading rows in
-place. The same ufuncs and BLAS dots run in the same order as on fresh
-arrays, so every bit is the same. Blocks run one after another in the
-calling thread; a plan gets its parallelism from ``bench.run_plan``'s
+a diagonal or stencil Hessian the products W. A step writes into them
+through ``out=`` (the stepsizes by one ``np.copyto``), G and the next
+gradient swap, and when rows stop the others move up into the leading
+rows in place. The same ufuncs and BLAS dots run in the same order as on
+fresh arrays, so every bit is the same. Blocks run one after another in
+the calling thread; a plan gets its parallelism from ``bench.run_plan``'s
 processes.
 """
 
@@ -462,9 +462,10 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     ``x`` and ``g`` are shared between blocks and never written."""
     n = p.dim
     one = len(live) == 1
-    # the working arrays, allocated once (see the module docstring); only
-    # a diagonal product is written into W, other kinds return a new one
-    diag = p.kind == "diag"
+    # the working arrays, allocated once (see the module docstring); a
+    # diagonal or stencil product is written into W, other kinds return a
+    # new one
+    into = p.kind in ("diag", "stencil")
     shape = n if one else (len(live), n)
     # a lone row walks its vectors in spans, a block takes one span
     width = min(n, STEP_CHUNK) if one else n
@@ -474,7 +475,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     AL = None if one else aligned_empty(shape)
     np.copyto(X, x)
     np.copyto(G, g)
-    W = p.apply(G, out=aligned_empty(shape) if diag else None)
+    W = p.apply(G, out=aligned_empty(shape) if into else None)
     lagged = any(r.bars is not None for r in live)
     while True:
         # the dots of this iterate, in one pass over the spans
@@ -561,7 +562,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
             np.subtract(Gs, np.multiply(A, Ws, out=Ss), out=Ns)
             if lagged:
                 CGG, CWG = _row_dots(Gs, Ns, CGG), _row_dots(Ws, Ns, CWG)
-        W = p.apply(G_new, out=W if diag else None)
+        W = p.apply(G_new, out=W if into else None)
         G, G_new = G_new, G
 
 

@@ -218,9 +218,10 @@ def test_criterion_06_totals_ordering(set_benchmark):
 # -------------------------------------------------------------------- C7
 
 
-def laplace_instances(problem):
-    """The problem itself, then one copy per seed 1..16 with every component
-    of b moved by 1 ulp, up or down by a fair coin.
+def laplace_instances(problem, N):
+    """The problem itself, the N x N x N Laplacian, then one copy per seed
+    1..16 with every component of b moved by 1 ulp, up or down by a fair
+    coin. The copies are stencil problems, like the generated one.
 
     BB-type and cyclic iterations are chaotic in rounding (Fletcher, "On the
     Barzilai-Borwein method", 2005): a count from one run moves with the
@@ -231,7 +232,7 @@ def laplace_instances(problem):
     for seed in range(1, 17):
         down = np.random.default_rng(seed).random(problem.dim) < 0.5
         b = np.nextafter(problem.b, np.where(down, -np.inf, np.inf))
-        yield QuadraticProblem(problem.hessian, b)
+        yield QuadraticProblem.laplace3d(N, b)
 
 
 def test_criterion_07_laplace_bands():
@@ -239,7 +240,7 @@ def test_criterion_07_laplace_bands():
     x1 = np.zeros(problem.dim)
     counts = {"DY": [], "NEWS": []}
     elapsed = None
-    for p in laplace_instances(problem):
+    for p in laplace_instances(problem, 60):
         t0 = time.perf_counter()
         counts["DY"].append(run(p, x1, StrategySpec("DY"), eps=1e-6, max_iter=20000).iterations)
         counts["NEWS"].append(

@@ -233,9 +233,10 @@ def test_descriptor_missing_a_key_exits_1(tmp_path, capsys, desc, key):
         ({"kind": "diag", "eigenvalues": [[2, 1], [1, 2]]}, "1-D"),
         ({"kind": "dense", "matrix": [2, 3]}, "2-D"),
         ({"kind": "dense", "matrix": [[1, 5], [0, 1]]}, "symmetric"),
+        ({"kind": "sparse", "n": 2, "rows": [0, 0, 1], "cols": [0, 1, 1], "vals": [2, 1, 2]}, "symmetric"),
         ({"kind": "diag", "eigenvalues": [], "b": []}, "dimension must be positive"),
     ],
-    ids=["diag-given-a-matrix", "dense-given-a-vector", "dense-nonsymmetric", "diag-empty"],
+    ids=["diag-given-a-matrix", "dense-given-a-vector", "dense-nonsymmetric", "sparse-nonsymmetric", "diag-empty"],
 )
 def test_descriptor_array_that_does_not_fit_its_kind_exits_1(tmp_path, capsys, desc, message):
     problem = tmp_path / "p.json"

@@ -9,7 +9,6 @@ from specgrad.generators import (
     SpectrumSpec,
     _draw_reflectors,
     _draw_spectrum,
-    _laplace_matrix,
     family_spec,
     gen_diag_problem,
     gen_instance,
@@ -18,6 +17,7 @@ from specgrad.generators import (
     gen_rotated_problem,
     laplace_eigen_bounds,
 )
+from specgrad.problem import _laplace_matrix
 from specgrad.qp_engine import StrategySpec, run
 
 

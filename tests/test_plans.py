@@ -59,9 +59,10 @@ def test_profiles_plan_is_box_comparison():
 
 
 # Imports specgrad, loads every plan and runs grids that build no sparse
-# Hessian (one n = 200 seed of table1 and table3, and the profiles grid);
-# only then may a Laplacian build load scipy.sparse. Only run_plan's
-# process pool loads multiprocessing, not the import.
+# Hessian (one n = 200 seed of table1 and table3, and the profiles grid).
+# A Laplacian build does not load scipy.sparse either: only reading its
+# Hessian, the reference CSR matrix, does. Only run_plan's process pool
+# loads multiprocessing, not the import.
 COLD_START = """
 import json, sys
 from pathlib import Path
@@ -79,7 +80,8 @@ for name in ("table1", "table3"):
 assert specgrad.run_plan(specgrad.ExperimentPlan.load(str(plans / "profiles.json")))
 assert "scipy.sparse" not in sys.modules, "a run without a sparse Hessian loaded scipy.sparse"
 problem, _, _ = specgrad.gen_instance({"kind": "laplace3d", "variant": "A", "N": 5})
-assert problem.kind == "sparse" and "scipy.sparse" in sys.modules
+assert problem.kind == "stencil" and "scipy.sparse" not in sys.modules, "a Laplacian build loaded scipy.sparse"
+assert problem.hessian.shape == (125, 125) and "scipy.sparse" in sys.modules
 """
 
 

@@ -139,6 +139,16 @@ class TestHessianApply:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticProblem(a)
 
+    def test_nonsymmetric_sparse_rejected(self):
+        a = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 2.0]]))
+        for bad in (a.copy(), a.tocoo()):
+            bad.data[1] = np.nextafter(1.0, 2.0)  # one ulp off is not symmetric
+            with pytest.raises(ValueError, match="symmetric"):
+                QuadraticProblem(bad)
+        lower = sp.csr_matrix(np.array([[2.0, 0.0], [1.0, 2.0]]))  # an entry without its mirror
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticProblem(lower)
+
     @pytest.mark.parametrize(
         "hessian", [np.zeros(0), np.zeros((0, 0)), sp.csr_matrix((0, 0))], ids=["diag", "dense", "sparse"]
     )
@@ -235,6 +245,61 @@ class TestProjectBox:
             BoxBounds([1.0], [0.0])
 
 
+def wide_vector(n, rng):
+    """Normal draws scaled by 2^e, e uniform in [-300, 300), with about a
+    quarter of the components zeros of either sign."""
+    v = rng.standard_normal(n) * np.exp2(rng.integers(-300, 300, n))
+    zero = rng.random(n) < 0.25
+    v[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    return v
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestStencil:
+    # N = 1..7 and 31 take one slab at the default size; at N = 60 it is
+    # 9 planes, so the last slab holds 6. Forced by the slab constant:
+    # slabs of one plane, of 3 planes at N = 7 (the last holds one), and
+    # of 7 planes at N = 60
+    @pytest.mark.parametrize(
+        "N, slab",
+        [(N, problem_module.STENCIL_SLAB) for N in (1, 2, 3, 4, 5, 6, 7, 31, 60)] + [(7, 49), (7, 3 * 49), (60, 7 * 3600)],
+    )
+    def test_product_is_the_csr_product_bit_for_bit(self, N, slab, monkeypatch):
+        monkeypatch.setattr(problem_module, "STENCIL_SLAB", slab)
+        p = QuadraticProblem.laplace3d(N)
+        a = problem_module._laplace_matrix(N)
+        rng = np.random.default_rng(N)
+        for v in (wide_vector(N**3, rng), -np.zeros(N**3), np.full(N**3, np.inf)):
+            assert same_bits(p.apply(v), a @ v)
+
+    def test_block_rows_are_written_into_out(self):
+        p = QuadraticProblem.laplace3d(5)
+        rng = np.random.default_rng(2)
+        block = np.stack([wide_vector(125, rng) for _ in range(3)])
+        out = np.empty((3, 125))
+        assert p.apply(block, out=out) is out
+        for row, got in zip(block, out):
+            assert same_bits(got, p.apply(row)) and same_bits(got, p.hessian @ row)
+
+    def test_hessian_is_the_cached_csr_matrix(self):
+        p = QuadraticProblem.laplace3d(4, np.ones(64))
+        a = p.hessian
+        assert p.kind == "stencil" and p.dim == 64 and a is p.hessian
+        assert a.format == "csr" and (a != problem_module._laplace_matrix(4)).nnz == 0
+        np.testing.assert_allclose(p.apply(p.solution()), p.b, rtol=1e-12)
+
+    def test_b_and_grid_are_validated(self):
+        with pytest.raises(ValueError, match="length"):
+            QuadraticProblem.laplace3d(3, np.ones(26))
+        with pytest.raises(ValueError, match="finite"):
+            QuadraticProblem.laplace3d(2, np.full(8, np.nan))
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            QuadraticProblem.laplace3d(0)
+
+
 class TestJsonRoundTrip:
     def test_diag(self):
         p = QuadraticProblem(np.array([1.0, 3.0]), np.array([0.5, -0.5]))
@@ -284,7 +349,7 @@ class TestJsonRoundTrip:
 
     def test_laplace_descriptor(self):
         p, x1, _ = gen_instance({"kind": "laplace3d", "variant": "A", "N": 3})
-        assert p.kind == "sparse" and p.dim == 27
+        assert p.kind == "stencil" and p.dim == 27
         np.testing.assert_array_equal(x1, np.zeros(27))
 
     def test_unknown_kind(self):

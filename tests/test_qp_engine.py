@@ -447,7 +447,8 @@ class TestRunMany:
 
 class TestAlignedBuffers:
     """A diagonal block's gradients and Hessian products, and the Hessian
-    itself, start on 64-byte cache lines."""
+    itself, start on 64-byte cache lines; a stencil block writes every
+    product into one such array."""
 
     def test_dot_operands_and_products(self, monkeypatch):
         n = 1000
@@ -475,6 +476,21 @@ class TestAlignedBuffers:
         starts = dotted | products | {p.hessian.ctypes.data}
         assert products and products <= dotted and len(starts) >= 4
         assert [a % 64 for a in starts] == [0] * len(starts)
+
+    def test_stencil_products_go_into_one_array(self, monkeypatch):
+        p, _ = gen_laplace3d(LaplaceSpec("A", 8))
+        outs, apply = [], QuadraticProblem.apply
+
+        def recording_apply(self, v, out=None):
+            outs.append(out)
+            return apply(self, v, out)
+
+        monkeypatch.setattr(QuadraticProblem, "apply", recording_apply)
+        trace = run(p, np.zeros(p.dim), StrategySpec("DY"), eps=1e-6)
+        # after the start's gradient, the block's first product and one per step
+        first, *block = outs
+        assert first is None and len(block) == trace.iterations + 1
+        assert all(w is block[0] for w in block) and block[0].ctypes.data % 64 == 0
 
 
 # (Hessian, b, start, strategy, cause named in the failure)
