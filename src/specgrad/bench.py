@@ -22,7 +22,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,11 +71,11 @@ class ExperimentPlan:
     {"kind": "laplace3d", "variant", "N"}) or {"kind": "box_suite"} for
     the bound-constrained suite. Family and laplace3d entries are checked
     at load (see ``generators.family_spec`` and ``laplace_spec``).
-    ``strategies`` entries carry {"method", "h", "s", ...} for the
-    quadratic engine or {"variant", ...} for the box solvers; every
-    strategy must suit every problem entry, and a box entry takes its
-    tolerance and cap from the plan (it may not set ``eps_pg`` or
-    ``max_iter``). A plan that breaks a rule raises ``ValueError`` at load.
+    ``strategies`` entries carry only fields of ``qp_engine.StrategySpec``
+    ({"method", "h", "s", ...}) or, for the box solvers, "variant" and "M"
+    (a box run takes the plan's tolerance and cap); every strategy must
+    suit every problem entry. A plan that breaks a rule raises
+    ``ValueError`` at load.
     """
 
     problems: list[dict]
@@ -94,13 +94,15 @@ class ExperimentPlan:
             raise ValueError("iter_cap must be positive")
         for s in self.strategies:
             if "method" in s:
-                StrategySpec(**s)
-            elif "variant" in s:
-                if override := sorted({"eps_pg", "max_iter"} & s.keys()):
-                    raise ValueError(f"box strategy sets {override}; the plan's tolerances and iter_cap apply")
-                box_solver.BoxRunConfig(**s)
+                spec, fixed = StrategySpec, set()
+            elif "variant" in s:  # a box run takes its tolerance and cap from the plan
+                spec, fixed = box_solver.BoxRunConfig, {"eps_pg", "max_iter"}
             else:
                 raise ValueError(f"strategy entry needs 'method' or 'variant': {s!r}")
+            keys = {f.name for f in fields(spec)} - fixed
+            if unknown := sorted(s.keys() - keys):
+                raise ValueError(f"strategy entry {s!r} sets {unknown}; it takes only {sorted(keys)}")
+            spec(**s)
         for p in self.problems:
             if "family" in p:
                 family_spec(p, seed=0)
@@ -205,7 +207,7 @@ def _execute(job, plan: ExperimentPlan) -> list[dict]:
     entry, rows = job[1], []
     for strat in plan.strategies:
         c = box_solver.BoxRunConfig(**strat, eps_pg=eps, max_iter=cap)
-        h, s = (c.h, c.s) if c.variant in box_solver.HS_VARIANTS else ("", "")
+        h, s = box_solver.HS_VARIANTS.get(c.variant, ("", ""))
         # the trace goes straight into _rows, so it and its line-search
         # records are freed before the next strategy runs
         rows += _rows(

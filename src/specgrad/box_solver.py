@@ -20,11 +20,14 @@ the best value resets the scheme, while M consecutive non-improving
 steps promote the worst recent candidate to become the new reference.
 
 Each variant is one row of the table ``_VARIANTS``; ``solve_box`` reads
-the row and names no variant, so a new variant is one more row. SPG is
-the classic spectral projected gradient baseline (Birgin, Martinez and
+the row and names no variant, so a new variant is one more row; the A1
+variants' (h, s) = (10, 4) schedule is its ``cycle`` column. SPG is the
+classic spectral projected gradient baseline (Birgin, Martinez and
 Raydan, SIAM J. Optim. 10, 2000): it takes the safeguarded BB1 stepsize
 s's/s'y, keeps no stepsize memory and pins the reference value to
 f_r = f_max, which turns the search into the max-of-last-M Armijo test.
+Every variant takes sigma = ``SIGMA`` and clamps its trial stepsizes into
+[``ALPHA_MIN``, ``ALPHA_MAX``]; a plan sets only the variant and M.
 
 A run that fails is returned, not raised: its trace ends ``diverged`` on
 a nonfinite objective or gradient norm at the start or at an accepted
@@ -58,6 +61,8 @@ __all__ = [
 
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 50
+SIGMA = 1e-4
+ALPHA_MIN, ALPHA_MAX = 1e-30, 1e30  # the safeguards of every trial stepsize
 
 
 @dataclass
@@ -69,12 +74,11 @@ class LineSearchState:
     f_c: float
     L: int
     M: int
-    sigma: float
     recent_f: deque = field(repr=False, default=None)
 
     @staticmethod
-    def fresh(f1: float, M: int, sigma: float) -> "LineSearchState":
-        state = LineSearchState(f_r=f1, f_best=f1, f_c=f1, L=0, M=M, sigma=sigma)
+    def fresh(f1: float, M: int) -> "LineSearchState":
+        state = LineSearchState(f_r=f1, f_best=f1, f_c=f1, L=0, M=M)
         state.recent_f = deque([f1], maxlen=M)
         return state
 
@@ -130,7 +134,7 @@ def nonmonotone_search(
         raise ValueError("not a descent direction: g'd >= 0")
     x_trial = x + d
     f_trial = oracle.f(x_trial)
-    if f_trial <= ls.f_r + ls.sigma * gd:
+    if f_trial <= ls.f_r + SIGMA * gd:
         return 1.0, f_trial, True, x_trial
     bound = min(ls.f_max, ls.f_r)
     lam = 1.0
@@ -138,32 +142,25 @@ def nonmonotone_search(
         lam *= BACKTRACK_FACTOR
         x_trial = x + lam * d
         f_trial = oracle.f(x_trial)
-        if f_trial <= bound + ls.sigma * lam * gd:
+        if f_trial <= bound + SIGMA * lam * gd:
             return lam, f_trial, False, x_trial
     return None
 
 
 @dataclass(frozen=True)
 class BoxRunConfig:
-    """Solver parameters for the bound-constrained runs."""
+    """What a plan varies between bound-constrained runs: the variant (a
+    key of ``_VARIANTS``), the memory M of the nonmonotone search, the
+    projected-gradient tolerance and the step cap."""
 
-    alpha_min: float = 1e-30
-    alpha_max: float = 1e30
-    h: int = 10
-    s: int = 4
+    variant: str = "A1"
     M: int = 8
-    sigma: float = 1e-4
     eps_pg: float = 1e-6
     max_iter: int = 20000
-    variant: str = "A1"
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_min < self.alpha_max:
-            raise ValueError("need 0 < alpha_min < alpha_max")
-        if self.h < 1 or self.s < 1 or self.M < 1:
-            raise ValueError("h, s, M must be positive")
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
+        if self.M < 1:
+            raise ValueError("M must be positive")
         if not 0.0 <= self.eps_pg < math.inf:
             raise ValueError("eps_pg must be finite and nonnegative")
         if self.max_iter < 1:
@@ -178,63 +175,64 @@ def _pg_norm(x: np.ndarray, g: np.ndarray, bounds: BoxBounds) -> float:
     return float(abs(bounds.project(x - g) - x).max()) if x.size else 0.0
 
 
-def _safeguard(alpha: float, cfg: BoxRunConfig) -> float:
-    return max(cfg.alpha_min, min(alpha, cfg.alpha_max))
+def _safeguard(alpha: float) -> float:
+    return max(ALPHA_MIN, min(alpha, ALPHA_MAX))
 
 
-def _initial_alpha(norm: float, cfg: BoxRunConfig) -> float:
+def _initial_alpha(norm: float) -> float:
     """Safeguarded 1/norm (1 when the norm vanishes)."""
-    return _safeguard(1.0 / norm if norm > 0.0 else 1.0, cfg)
+    return _safeguard(1.0 / norm if norm > 0.0 else 1.0)
 
 
-def _bb1(cfg, mem, k, alpha, s, g, g_new, rec) -> tuple[float, str]:
+def _bb1(mem, short, alpha, s, g, g_new, rec) -> tuple[float, str]:
     """SPG's rule: the safeguarded BB1 stepsize s's/s'y (``bb``), or
-    alpha_max when s'y <= 0 (``sy_nonpos``)."""
+    ALPHA_MAX when s'y <= 0 (``sy_nonpos``)."""
     sty = float(s.dot(g_new - g))
     if sty > 0.0:
-        return _safeguard(float(s.dot(s)) / sty, cfg), "bb"
-    return cfg.alpha_max, "sy_nonpos"
+        return _safeguard(float(s.dot(s)) / sty), "bb"
+    return ALPHA_MAX, "sy_nonpos"
 
 
-def _long_short(long, cfg, mem, k, alpha, s, g, g_new, rec) -> tuple[float, str]:
+def _long_short(long, mem, short, alpha, s, g, g_new, rec) -> tuple[float, str]:
     """A1's rule around its long-phase value ``long(mem)``, after the step
     is pushed into the memory: 1/||g|| when s'y <= 0 (``sy_nonpos``), else
-    the long value in the long phase of the (h, s) schedule (``long``) and
-    in the short phase that value capped by a positive spectral estimate
+    the long value in the long phase of the row's cycle (``long``) and in
+    the short phase that value capped by a positive spectral estimate
     (``short_min``, recorded as ``spectral``), else BB2 (``short_bb2``)."""
     mem.push(g_new, s, alpha_used=alpha)
     rec["spectral"] = None
     if not float(s.dot(mem.y_prev)) > 0.0:
         return (1.0 / mem.gnorm_cur if mem.gnorm_cur > 0.0 else 1.0), "sy_nonpos"
     long_next = long(mem)
-    if k % (cfg.h + cfg.s) < cfg.h:
-        return _safeguard(long_next, cfg), "long"
+    if not short:
+        return _safeguard(long_next), "long"
     try:
         rec["spectral"] = spectral = bar_alpha_general(mem)
     except StepsizeUndefinedError:
-        return _safeguard(mem.barbb2_cur, cfg), "short_bb2"
+        return _safeguard(mem.barbb2_cur), "short_bb2"
     if math.isfinite(spectral) and spectral > 0.0:
-        return _safeguard(min(spectral, long_next), cfg), "short_min"
-    return _safeguard(mem.barbb2_cur, cfg), "short_bb2"
+        return _safeguard(min(spectral, long_next)), "short_min"
+    return _safeguard(mem.barbb2_cur), "short_bb2"
 
 
 class _Variant(NamedTuple):
     first_pg: bool  # the first trial stepsize is 1/pg, else 1/||g||
     retry: bool  # an arc that collapsed numerically (g'd >= 0) retries once at 1/||g||
-    step: Callable  # (cfg, memory, k, alpha, s, g, g_new, record) -> (next trial stepsize, label)
+    step: Callable  # (memory, short phase, alpha, s, g, g_new, record) -> (next trial stepsize, label)
     pin_f_r: bool  # f_r = f_max after every accepted step
-    schedule: bool  # reads the (h, s) schedule, so its result rows carry h and s
+    cycle: tuple[int, int] | None  # (h, s): step k is short when k mod (h + s) >= h; None: all long
 
 
 _VARIANTS = {
     # p_stepsize is looked up per call, so a wrapper on the module name sees it
-    "A1": _Variant(False, True, partial(_long_short, lambda mem: p_stepsize(mem)), False, True),
-    "A1_BB1": _Variant(False, True, partial(_long_short, lambda mem: mem.barbb1_cur), False, True),
-    "A1_BB2": _Variant(False, True, partial(_long_short, lambda mem: mem.barbb2_cur), False, True),
-    "SPG": _Variant(True, False, _bb1, True, False),
+    "A1": _Variant(False, True, partial(_long_short, lambda mem: p_stepsize(mem)), False, (10, 4)),
+    "A1_BB1": _Variant(False, True, partial(_long_short, lambda mem: mem.barbb1_cur), False, (10, 4)),
+    "A1_BB2": _Variant(False, True, partial(_long_short, lambda mem: mem.barbb2_cur), False, (10, 4)),
+    "SPG": _Variant(True, False, _bb1, True, None),
 }
 BOX_VARIANTS = tuple(_VARIANTS)
-HS_VARIANTS = frozenset(v for v, row in _VARIANTS.items() if row.schedule)
+# the (h, s) of each variant that runs a schedule
+HS_VARIANTS = {v: row.cycle for v, row in _VARIANTS.items() if row.cycle}
 
 
 def solve_box(
@@ -279,17 +277,18 @@ def solve_box(
         return finish("diverged", "nonfinite objective at the starting point")
     if not math.isfinite(gnorm):
         return finish("diverged", "nonfinite gradient norm at the starting point")
-    ls = LineSearchState.fresh(fx, M=cfg.M, sigma=cfg.sigma)
+    ls = LineSearchState.fresh(fx, M=cfg.M)
     mem = StepsizeMemory()
     mem.start(g)
-    alpha = _initial_alpha(pg if row.first_pg else gnorm, cfg)
+    alpha = _initial_alpha(pg if row.first_pg else gnorm)
+    h, s = row.cycle or (1, 0)
 
     k = 1
     while not trace.stop(pg):
         d = direction(x, g, alpha, bounds)
         gd = float(g.dot(d))
         if gd >= 0.0 and row.retry:
-            alpha = _initial_alpha(gnorm, cfg)
+            alpha = _initial_alpha(gnorm)
             d = direction(x, g, alpha, bounds)
             gd = float(g.dot(d))
         if gd >= 0.0:
@@ -306,10 +305,10 @@ def solve_box(
         gnorm = math.sqrt(g_new.dot(g_new))
         if not math.isfinite(gnorm):
             return finish("diverged", f"nonfinite gradient norm at iteration {k}")
-        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": ls.sigma,
+        rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": SIGMA,
                "lam": lam, "f_new": f_new, "unit": unit}
         records.append(rec)
-        alpha, label = row.step(cfg, mem, k, alpha, x_new - x, g, g_new, rec)
+        alpha, label = row.step(mem, k % (h + s) >= h, alpha, x_new - x, g, g_new, rec)
 
         update_reference(ls, f_new)
         if row.pin_f_r:

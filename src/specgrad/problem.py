@@ -176,11 +176,11 @@ class QuadraticProblem:
         product sums in another order. A float64 vector of length n is
         used as given.
 
-        A diagonal or stencil product is written into ``out`` (a float64 C
-        array of v's shape, not v itself) when one is given; a block
-        reuses one array from ``aligned_empty`` this way. Dense and sparse
-        products take no ``out``. A stencil product uses the problem's
-        scratch slab, so one problem runs one product at a time.
+        The product is written into ``out`` (a float64 C array of v's
+        shape, not v itself) when one is given, for every kind; a block
+        reuses one array from ``aligned_empty`` this way. A sparse product
+        is copied there. A stencil product uses the problem's scratch
+        slab, so one problem runs one product at a time.
         """
         if type(v) is not np.ndarray or v.dtype is not _F64 or v.shape != (self.dim,):
             v = np.asarray(v, dtype=np.float64)
@@ -188,19 +188,20 @@ class QuadraticProblem:
                 raise ValueError(f"vector has shape {v.shape}, expected ({self.dim},) or (B, {self.dim})")
         if self.kind == "diag":
             return np.multiply(self._h, v, out=out)
-        if self.kind == "stencil":
-            if out is None:
-                out = np.empty(v.shape)
-            with np.errstate(all="ignore"):  # the CSR product it equals warns of nothing
-                for row, dst in zip(v.reshape(-1, self.dim), out.reshape(-1, self.dim)):
-                    self._stencil(row, dst)
-            return out
-        if out is not None:
-            raise ValueError(f"a {self.kind} Hessian takes no out array")
-        if v.ndim == 2:
-            return np.stack([self._h @ row for row in v])
-        return self._h @ v
+        if self.kind == "dense" and v.ndim == 1:
+            return np.matmul(self._h, v, out=out)
+        if out is None:
+            out = np.empty(v.shape)
+        for row, dst in zip(v.reshape(-1, self.dim), out.reshape(-1, self.dim)):
+            if self.kind == "stencil":
+                self._stencil(row, dst)
+            elif self.kind == "dense":
+                np.matmul(self._h, row, out=dst)
+            else:
+                np.copyto(dst, self._h @ row)
+        return out
 
+    @np.errstate(all="ignore")  # the CSR product it equals warns of nothing
     def _stencil(self, v: np.ndarray, out: np.ndarray) -> None:
         """out = A v for the 7-point Laplacian, slab by slab of z-planes.
 

@@ -49,14 +49,13 @@ whole, as one span.
 Buffers: a block takes its working arrays once, each from
 ``problem.aligned_empty`` (whose docstring holds the measured reason):
 the iterates X, the gradient G and the next one, one scratch array S one
-span long, for several rows the stepsizes spread over the rows, and for
-a diagonal or stencil Hessian the products W. A step writes into them
-through ``out=`` (the stepsizes by one ``np.copyto``), G and the next
-gradient swap, and when rows stop the others move up into the leading
-rows in place. The same ufuncs and BLAS dots run in the same order as on
-fresh arrays, so every bit is the same. Blocks run one after another in
-the calling thread; a plan gets its parallelism from ``bench.run_plan``'s
-processes.
+span long, for several rows the stepsizes spread over the rows, and the
+Hessian products W. A step writes into them through ``out=`` (the
+stepsizes by one ``np.copyto``), G and the next gradient swap, and when
+rows stop the others move up into the leading rows in place. The same
+ufuncs and BLAS dots run in the same order as on fresh arrays, so every
+bit is the same. Blocks run one after another in the calling thread; a
+plan gets its parallelism from ``bench.run_plan``'s processes.
 """
 
 from __future__ import annotations
@@ -423,8 +422,8 @@ def run_many(
     finite and the cause in ``failure``, and the other rows run on. Only
     f is kept finite: ||g|| at that iterate may already be inf (ROADMAP
     item 5). The causes are a nonfinite ||g_1|| or f_1 at the start, a
-    step to a nonfinite objective, zero curvature g'Ag = 0, and an
-    undefined two-point (DY, SDC) short step.
+    step to a nonfinite objective, nonpositive curvature g'Ag <= 0 (a
+    singular or indefinite Hessian) and an undefined (overflowed) stepsize.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -462,10 +461,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     ``x`` and ``g`` are shared between blocks and never written."""
     n = p.dim
     one = len(live) == 1
-    # the working arrays, allocated once (see the module docstring); a
-    # diagonal or stencil product is written into W, other kinds return a
-    # new one
-    into = p.kind in ("diag", "stencil")
+    # the working arrays, allocated once (see the module docstring)
     shape = n if one else (len(live), n)
     # a lone row walks its vectors in spans, a block takes one span
     width = min(n, STEP_CHUNK) if one else n
@@ -475,7 +471,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     AL = None if one else aligned_empty(shape)
     np.copyto(X, x)
     np.copyto(G, g)
-    W = p.apply(G, out=aligned_empty(shape) if into else None)
+    W = p.apply(G, out=aligned_empty(shape))
     lagged = any(r.bars is not None for r in live)
     while True:
         # the dots of this iterate, in one pass over the spans
@@ -498,36 +494,37 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
                     done.append(i)
                     continue
             r.k = k = k + 1
-            try:
-                gw, ww = GW[i], WW[i]
-                # move the cached values one iterate back, then cache this one's
-                r.gw_prev, r.gnorm_prev, r.sd_prev = r.gw, r.gnorm, r.sd
-                r.aopt_prev, r.bb2_prev = r.aopt, r.bb2
-                r.gw, r.gnorm = gw, gnorm
-                r.sd = gg / gw
-                r.aopt = gnorm / math.sqrt(ww)
-                r.bb2 = gw / ww
-                if k == 1:
-                    alpha, label = r.first(r), "long"
-                else:
-                    bars = r.bars
-                    if bars is not None:
-                        bars.append(_bar_alpha_cached(r, CGG[i], CWG[i]))
-                        r.bar = bars[0]
-                    alpha, label = r.later(r), "long"
-                    phase = k % r.period
-                    if phase >= r.h:
-                        alpha, label = r.short(r, alpha, phase == r.h)
-            except ZeroDivisionError:
-                failure = f"zero curvature g'Ag = 0 at iteration {k}"
-            except (ArithmeticError, StepsizeUndefinedError) as exc:
-                failure = f"stepsize undefined at iteration {k}: {exc}"
+            gw, ww = GW[i], WW[i]
+            if gw <= 0.0:  # a singular or indefinite Hessian; no stepsize rule is defined
+                failure = f"nonpositive curvature at iteration {k}: g'Ag = {gw:.6g}"
             else:
-                f = r.f - alpha * gg + 0.5 * alpha * alpha * gw
-                if math.isfinite(f):
-                    r.alpha, r.label, r.f = alpha, label, f
-                    continue
-                failure = f"nonfinite objective at iteration {k}"
+                try:
+                    # move the cached values one iterate back, then cache this one's
+                    r.gw_prev, r.gnorm_prev, r.sd_prev = r.gw, r.gnorm, r.sd
+                    r.aopt_prev, r.bb2_prev = r.aopt, r.bb2
+                    r.gw, r.gnorm = gw, gnorm
+                    r.sd = gg / gw
+                    r.aopt = gnorm / math.sqrt(ww)
+                    r.bb2 = gw / ww
+                    if k == 1:
+                        alpha, label = r.first(r), "long"
+                    else:
+                        bars = r.bars
+                        if bars is not None:
+                            bars.append(_bar_alpha_cached(r, CGG[i], CWG[i]))
+                            r.bar = bars[0]
+                        alpha, label = r.later(r), "long"
+                        phase = k % r.period
+                        if phase >= r.h:
+                            alpha, label = r.short(r, alpha, phase == r.h)
+                except (ArithmeticError, StepsizeUndefinedError) as exc:
+                    failure = f"stepsize undefined at iteration {k}: {exc}"
+                else:
+                    f = r.f - alpha * gg + 0.5 * alpha * alpha * gw
+                    if math.isfinite(f):
+                        r.alpha, r.label, r.f = alpha, label, f
+                        continue
+                    failure = f"nonfinite objective at iteration {k}"
             traces[r.out] = r.trace.result(
                 X.reshape(-1, n)[i].copy(), "diverged", gradients=r.grads, failure=failure
             )
@@ -562,7 +559,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
             np.subtract(Gs, np.multiply(A, Ws, out=Ss), out=Ns)
             if lagged:
                 CGG, CWG = _row_dots(Gs, Ns, CGG), _row_dots(Ws, Ns, CWG)
-        W = p.apply(G_new, out=W if into else None)
+        W = p.apply(G_new, out=W)
         G, G_new = G_new, G
 
 

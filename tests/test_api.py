@@ -4,12 +4,16 @@ definition. A formula that only the tests call belongs in
 ``tests/reference.py``."""
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import specgrad
 from specgrad import box_solver
+from specgrad.qp_engine import StrategySpec
 
 SRC = Path(specgrad.__file__).parent
+PLANS = Path(__file__).resolve().parent.parent / "plans"
 
 
 def _exported(tree: ast.Module) -> list[str]:
@@ -70,3 +74,23 @@ def test_box_variants_are_named_only_in_their_table():
         if isinstance(node, ast.Constant) and node.value in box_solver.BOX_VARIANTS and id(node) not in allowed
     ]
     assert named == []
+
+
+def test_every_strategy_field_is_set_by_a_plan_or_the_runner():
+    """A field of ``StrategySpec`` or ``BoxRunConfig`` is a knob only if a
+    strategy entry of a shipped plan sets it or ``bench._execute`` passes
+    it; a value that neither sets is a module constant."""
+    plans = [json.loads(path.read_text()) for path in PLANS.glob("*.json")]
+    plan_keys = {key for plan in plans for entry in plan["strategies"] for key in entry}
+    execute = next(
+        node for node in ast.walk(ast.parse((SRC / "bench.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_execute"
+    )
+    passed = {kw.arg for node in ast.walk(execute) if isinstance(node, ast.Call) for kw in node.keywords}
+    idle = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (StrategySpec, box_solver.BoxRunConfig)
+        for f in dataclasses.fields(cls)
+        if f.name not in plan_keys | passed
+    ]
+    assert idle == []

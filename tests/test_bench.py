@@ -105,6 +105,18 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="variant"):
             tiny_plan(problems=[{"kind": "laplace3d", "variant": "C", "N": 4}])
 
+    @pytest.mark.parametrize(
+        "entry", [{"method": "SD", "foo": 1}, {"variant": "A1", "h": 4, "s": 4, "foo": 1}], ids=["quadratic", "box"]
+    )
+    def test_unknown_strategy_key(self, entry):
+        # a box entry's (h, s) is its variant's, not a plan key
+        unknown = r"\['foo', 'h', 's'\]" if "variant" in entry else r"\['foo'\]"
+        with pytest.raises(ValueError, match=f"sets {unknown}; it takes only"):
+            ExperimentPlan.from_json({
+                "problems": [{"kind": "box_suite"} if "variant" in entry else tiny_plan().problems[0]],
+                "strategies": [entry], "tolerances": [1e-6],
+            })
+
     @pytest.mark.parametrize("key", ["eps_pg", "max_iter"])
     def test_box_strategy_may_not_set_its_own_tolerance_or_cap(self, key):
         # the plan's tolerances and iter_cap label the rows, so they apply to every strategy
@@ -440,6 +452,12 @@ class TestSharedBoxTrajectory:
             got = box_cells(unsorted_rows(plan))
         assert got == one_solve_box_per_tolerance(plan, entries)
 
+    def test_box_rows_carry_their_variants_cycle(self, monkeypatch):
+        monkeypatch.setattr(bench, "make_suite", lambda: SUITE[:1])
+        rows = run_plan(box_plan([1e-6], 5))
+        labels = {(r["method"], r["h"], r["s"]) for r in rows}
+        assert labels == {("A1", 10, 4), ("A1_BB1", 10, 4), ("A1_BB2", 10, 4), ("SPG", "", "")}
+
     def test_cells_cap_converge_and_cross_early(self):
         plan = box_plan([1e-2, 1e-8, 1e-4], 300)
         got = box_cells(unsorted_rows(plan))
@@ -577,17 +595,23 @@ class TestFailedRows:
     def test_undefined_and_zero_curvature_rows(self, monkeypatch):
         indefinite = QuadraticProblem(np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4))
         singular = QuadraticProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
-        problems = {1: (indefinite, np.ones(4)), 2: (singular, np.ones(2))}
+        tiny = QuadraticProblem(np.array([1e-10, 2e-10]))
+        problems = {1: (indefinite, np.ones(4)), 2: (singular, np.ones(2)), 3: (tiny, np.full(2, 1e155))}
         monkeypatch.setattr(
             bench, "gen_instance", lambda desc, seed: (*problems[seed], {"family": "F", "kappa": ""})
         )
-        plan = tiny_plan(strategies=[{"method": "DY"}, {"method": "BB2"}], tolerances=[1e-6], iter_cap=3000)
+        plan = tiny_plan(
+            problems=[{"family": "TP1", "n": 40, "kappa": 100.0, "seeds": [1, 2, 3]}],
+            strategies=[{"method": "DY"}, {"method": "BB2"}], tolerances=[1e-6], iter_cap=3000,
+        )
         got = {(r["seed"], r["method"]): (r["iters"], r["termination"]) for r in run_plan(plan)}
         assert got == {
-            (1, "DY"): (3000, "diverged"),  # undefined short step
-            (1, "BB2"): (24, "gradient_tol"),
-            (2, "DY"): (3000, "diverged"),  # zero curvature at the start
+            (1, "DY"): (3000, "diverged"),  # g'Ag < 0 at iterate 3
+            (1, "BB2"): (3000, "diverged"),
+            (2, "DY"): (3000, "diverged"),  # g'Ag = 0 at the start
             (2, "BB2"): (3000, "diverged"),
+            (3, "DY"): (3000, "diverged"),  # the two-point step overflows
+            (3, "BB2"): (8, "gradient_tol"),
         }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,12 @@ from reference import contains, free_bounds
 
 def quad_oracle(diag, b=None):
     return QuadraticProblem(np.asarray(diag, dtype=float), b).as_oracle()
+
+
+def short_cycle(monkeypatch, variant, cycle=(4, 4)):
+    """Run ``variant`` on another (h, s) schedule, to reach its short
+    phase sooner."""
+    monkeypatch.setitem(box_solver._VARIANTS, variant, box_solver._VARIANTS[variant]._replace(cycle=cycle))
 
 
 class TestDirection:
@@ -61,7 +68,7 @@ class TestNonmonotoneSearch:
         x = np.array([1.0, 0.0])
         d = np.array([-1.0, 0.0])
         g = np.array([1.0, 0.0])
-        ls = LineSearchState.fresh(oracle.f(x), M=8, sigma=1e-4)
+        ls = LineSearchState.fresh(oracle.f(x), M=8)
         lam, f_new, unit, x_new = nonmonotone_search(oracle, x, d, float(g @ d), ls)
         assert lam == 1.0 and unit
         assert f_new == 0.0
@@ -72,7 +79,7 @@ class TestNonmonotoneSearch:
         x = np.array([1.0, 0.0])
         d = np.array([-4.0, 0.0])
         g = np.array([1.0, 0.0])
-        ls = LineSearchState.fresh(oracle.f(x), M=8, sigma=1e-4)
+        ls = LineSearchState.fresh(oracle.f(x), M=8)
         lam, f_new, unit, x_new = nonmonotone_search(oracle, x, d, float(g @ d), ls)
         # enumeration over 1, 1/2, 1/4, ... : the first accepted length is 1/4
         assert not unit
@@ -82,32 +89,32 @@ class TestNonmonotoneSearch:
 
     def test_ascent_direction_rejected(self):
         oracle = quad_oracle([1.0])
-        ls = LineSearchState.fresh(0.5, M=8, sigma=1e-4)
+        ls = LineSearchState.fresh(0.5, M=8)
         with pytest.raises(ValueError):
             nonmonotone_search(oracle, np.array([1.0]), np.array([1.0]), 1.0, ls)
 
     def test_failure_after_50_backtracks(self):
         # trial values sit strictly above every acceptance bound
         oracle = ObjectiveOracle(lambda x: 1.0 + 1e-9, lambda x: np.zeros(1))
-        ls = LineSearchState.fresh(1.0, M=8, sigma=1e-4)
+        ls = LineSearchState.fresh(1.0, M=8)
         assert nonmonotone_search(oracle, np.zeros(1), np.array([-1.0]), -1.0, ls) is None
         assert oracle.eval_count == 1 + MAX_BACKTRACKS
 
 
 class TestUpdateReference:
     def test_initialization(self):
-        ls = LineSearchState.fresh(10.0, M=3, sigma=1e-4)
+        ls = LineSearchState.fresh(10.0, M=3)
         assert ls.f_r == ls.f_best == ls.f_c == 10.0
         assert ls.L == 0 and ls.f_max == 10.0
 
     def test_improvement_resets(self):
-        ls = LineSearchState.fresh(10.0, M=3, sigma=1e-4)
+        ls = LineSearchState.fresh(10.0, M=3)
         update_reference(ls, 9.0)
         assert ls.f_best == 9.0 and ls.f_c == 9.0 and ls.L == 0
         assert ls.f_r == 10.0
 
     def test_m_nonimproving_promotes_candidate(self):
-        ls = LineSearchState.fresh(10.0, M=3, sigma=1e-4)
+        ls = LineSearchState.fresh(10.0, M=3)
         update_reference(ls, 11.0)
         update_reference(ls, 12.0)
         assert ls.L == 2 and ls.f_c == 12.0 and ls.f_r == 10.0
@@ -116,14 +123,14 @@ class TestUpdateReference:
         assert ls.f_c == 11.5 and ls.L == 0
 
     def test_strictly_decreasing_keeps_reference(self):
-        ls = LineSearchState.fresh(5.0, M=4, sigma=1e-4)
+        ls = LineSearchState.fresh(5.0, M=4)
         for f in (4.0, 3.0, 2.5, 1.0, 0.5):
             update_reference(ls, f)
         assert ls.f_r == 5.0 and ls.f_best == 0.5
 
     def test_invariant_chain(self):
         rng = np.random.default_rng(1)
-        ls = LineSearchState.fresh(1.0, M=5, sigma=1e-4)
+        ls = LineSearchState.fresh(1.0, M=5)
         f = 1.0
         for _ in range(200):
             f = f - rng.uniform(-0.05, 0.2)  # mostly decreasing, some increases
@@ -134,18 +141,17 @@ class TestUpdateReference:
 
 class TestBoxRunConfig:
     def test_defaults(self):
+        assert [f.name for f in dataclasses.fields(BoxRunConfig)] == ["variant", "M", "eps_pg", "max_iter"]
         cfg = BoxRunConfig()
-        assert cfg.alpha_min == 1e-30 and cfg.alpha_max == 1e30
-        assert (cfg.h, cfg.s, cfg.M) == (10, 4, 8)
-        assert cfg.sigma == 1e-4 and cfg.eps_pg == 1e-6
+        assert (cfg.variant, cfg.M, cfg.eps_pg, cfg.max_iter) == ("A1", 8, 1e-6, 20000)
+        assert (box_solver.SIGMA, box_solver.ALPHA_MIN, box_solver.ALPHA_MAX) == (1e-4, 1e-30, 1e30)
+        assert box_solver.HS_VARIANTS == {"A1": (10, 4), "A1_BB1": (10, 4), "A1_BB2": (10, 4)}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoxRunConfig(alpha_min=1.0, alpha_max=0.5)
-        with pytest.raises(ValueError):
             BoxRunConfig(variant="A2")
-        with pytest.raises(ValueError):
-            BoxRunConfig(sigma=0.0)
+        with pytest.raises(ValueError, match="M"):
+            BoxRunConfig(M=0)
 
     @pytest.mark.parametrize("eps_pg", [-1.0, math.inf, math.nan])
     def test_eps_pg_negative_or_nonfinite(self, eps_pg):
@@ -218,18 +224,29 @@ class TestSolveBox:
         np.testing.assert_allclose(tr.x_final, np.ones(5))
 
     @pytest.mark.parametrize("variant", sorted(box_solver.HS_VARIANTS))
-    def test_branch_labels_cover_algorithm(self, variant):
+    def test_branch_labels_cover_algorithm(self, variant, monkeypatch):
+        short_cycle(monkeypatch, variant)
         labels = set()
         for seed in (1, 2, 3):
             p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e4, seed))
-            tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40),
-                           BoxRunConfig(h=4, s=4, variant=variant))
+            tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant=variant))
             labels.update(tr.branch)
         assert {"long", "short_min"} <= labels <= {"long", "short_min", "short_bb2", "sy_nonpos"}
 
-    def test_quadratic_consistency_of_reconstructed_spectral_value(self):
+    @pytest.mark.parametrize("cycle", [(10, 4), (4, 4), (2, 5)], ids=["10-4", "4-4", "2-5"])
+    def test_short_phase_follows_the_cycle(self, cycle, monkeypatch):
+        # step k is short when k mod (h + s) >= h; an s'y <= 0 step has no phase
+        short_cycle(monkeypatch, "A1", cycle)
+        p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e4, 1))
+        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig())
+        h, s = cycle
+        phases = [(label == "long", k % (h + s) < h) for k, label in enumerate(tr.branch, 1) if label != "sy_nonpos"]
+        assert len(phases) > 2 * (h + s) and all(long == want for long, want in phases)
+
+    def test_quadratic_consistency_of_reconstructed_spectral_value(self, monkeypatch):
         # with unit steps and free bounds the reconstruction must agree with
         # the direct quotient on the matching gradient pair
+        short_cycle(monkeypatch, "A1", (4, 6))
         p = gen_diag_problem(SpectrumSpec("SET1", 40, 1e2, 8))
         oracle = p.as_oracle()
         grads = []
@@ -241,7 +258,7 @@ class TestSolveBox:
             return g
 
         oracle.grad = recording_grad
-        tr = solve_box(oracle, free_bounds(40), np.ones(40), BoxRunConfig(h=4, s=6))
+        tr = solve_box(oracle, free_bounds(40), np.ones(40), BoxRunConfig())
         gnorm1 = float(np.linalg.norm(grads[0]))
         checked = 0
         for rec in tr.ls_records:
@@ -277,17 +294,19 @@ class TestSolveBox:
         for x in seen:
             assert contains(bounds, x)
 
-    def test_stepsize_safeguard_disjunction(self):
+    def test_stepsize_safeguard_disjunction(self, monkeypatch):
         # every alpha fed to direction() is either clamped into
-        # [alpha_min, alpha_max] or equals 1/||g|| at its iterate
-        cfg = BoxRunConfig(alpha_min=1e-2, alpha_max=1e2, max_iter=200)
+        # [ALPHA_MIN, ALPHA_MAX] or equals 1/||g|| at its iterate
+        monkeypatch.setattr(box_solver, "ALPHA_MIN", 1e-2)
+        monkeypatch.setattr(box_solver, "ALPHA_MAX", 1e2)
+        cfg = BoxRunConfig(max_iter=200)
         f = lambda x: -0.5 * float(x @ x)
         g = lambda x: -x
         oracle = ObjectiveOracle(f, g)
         bounds = BoxBounds(-np.ones(6), np.ones(6))
         tr = solve_box(oracle, bounds, np.full(6, 0.25), cfg)
         for i, a in enumerate(tr.alpha):
-            clamped = cfg.alpha_min <= a <= cfg.alpha_max
+            clamped = 1e-2 <= a <= 1e2
             inverse_gnorm = tr.gnorm[i] > 0 and abs(a * tr.gnorm[i] - 1.0) <= 1e-12
             assert clamped or inverse_gnorm
 
@@ -379,13 +398,14 @@ class TestFailureEndings:
         assert tr.func_evals == 1 + accepted_evals + 1 + MAX_BACKTRACKS
 
     @pytest.mark.parametrize("variant", ["SPG", "A1"])
-    def test_no_descent_direction(self, variant):
+    def test_no_descent_direction(self, variant, monkeypatch):
         # a stepsize capped at 1e-30 leaves x - alpha g == x, so the arc is a
         # point; A1's retry at 1/||g|| is capped the same way
+        monkeypatch.setattr(box_solver, "ALPHA_MIN", 1e-40)
+        monkeypatch.setattr(box_solver, "ALPHA_MAX", 1e-30)
         p = QuadraticProblem(np.ones(3))
         oracle, accepted = recording_oracle(p.objective, p.gradient)
-        cfg = BoxRunConfig(variant=variant, alpha_min=1e-40, alpha_max=1e-30)
-        tr = solve_box(oracle, free_bounds(3), np.ones(3), cfg)
+        tr = solve_box(oracle, free_bounds(3), np.ones(3), BoxRunConfig(variant=variant))
         self.check(tr, oracle, accepted, "line_search_failed", "no descent direction")
         assert tr.iterations == 0 and oracle.eval_count == 1
 
@@ -446,8 +466,9 @@ class TestSharedBoxLoop:
         monkeypatch.setattr(stepsize, "modified_y", counting)
         # count a second masked difference formed by the solver itself, too
         monkeypatch.setattr(box_solver, "modified_y", counting, raising=False)
+        short_cycle(monkeypatch, variant)
         p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 7))
-        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant=variant, h=4, s=4))
+        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant=variant))
         assert tr.iterations > 10
         assert len(calls) == tr.iterations
 
@@ -461,8 +482,9 @@ class TestSharedBoxLoop:
             return original(mem)
 
         monkeypatch.setattr(box_solver, "p_stepsize", counting)
+        short_cycle(monkeypatch, "A1")
         p = gen_diag_problem(SpectrumSpec("SET2", 40, 1e3, 7))
-        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant="A1", h=4, s=4))
+        tr = solve_box(p.as_oracle(), free_bounds(40), np.ones(40), BoxRunConfig(variant="A1"))
         # one call per step with s'y > 0, whether its phase is long or short
         assert tr.branch.count("long") > 0
         assert len(calls) == tr.iterations - tr.branch.count("sy_nonpos")

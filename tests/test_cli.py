@@ -40,11 +40,11 @@ def test_solve_nonfinite_problem_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "desc, strategy, cause",
     [
-        ({"kind": "dense", "matrix": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}, "sd", "zero curvature"),
+        ({"kind": "dense", "matrix": [[1.0, 0.0], [0.0, 0.0]], "b": [1.0, 1.0]}, "sd", "nonpositive curvature"),
         (
             {"kind": "dense", "matrix": np.diag([1.0, 3.0, 10.0, -1.0]).tolist(), "b": [1.0] * 4},
             "dy",
-            "yuan_stepsize",
+            "nonpositive curvature at iteration 3",
         ),
         ({"kind": "diag", "eigenvalues": [1e300, 1.0], "b": [1.0, 1.0]}, "sd", "nonfinite gradient norm"),
     ],
@@ -66,7 +66,7 @@ def test_diag_numerical_failure_exits_2(tmp_path, capsys):
     out = tmp_path / "diag.csv"
     rc = main(["diag", "--problem", str(problem), "--strategy", "sd", "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("run failed: zero curvature")
+    assert capsys.readouterr().err.startswith("run failed: nonpositive curvature")
     assert not out.exists()
 
 
@@ -89,6 +89,21 @@ def test_malformed_plan(tmp_path, capsys):
     rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "strategy", [{"method": "SD", "foo": 1}, {"variant": "A1", "foo": 1}], ids=["quadratic", "box"]
+)
+def test_unknown_strategy_key_exits_1(tmp_path, capsys, strategy):
+    plan = tmp_path / "plan.json"
+    quadratic = {"family": "TP1", "n": 10, "kappa": 10.0, "seeds": [1]}
+    problem = {"kind": "box_suite"} if "variant" in strategy else quadratic
+    plan.write_text(json.dumps({"problems": [problem], "strategies": [strategy], "tolerances": [1e-6]}))
+    rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: strategy entry") and "sets ['foo']; it takes only" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_negative_box_tolerance_exits_1(tmp_path, capsys):

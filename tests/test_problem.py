@@ -102,15 +102,20 @@ class TestHessianApply:
             p = QuadraticProblem(h)
             assert np.array_equal(p.hessian, h) and not np.shares_memory(p.hessian, h)
 
-    @pytest.mark.parametrize("kind", ["diag", "dense", "sparse"])
-    def test_only_a_diagonal_product_takes_out(self, kind):
-        h = {"diag": np.array([1.0, 2.0]), "dense": np.diag([1.0, 2.0]), "sparse": sp.diags([1.0, 2.0]).tocsr()}[kind]
-        p, v, out = QuadraticProblem(h), np.ones((3, 2)), np.empty((3, 2))
-        if kind == "diag":
-            assert p.apply(v, out=out) is out and np.array_equal(out, p.apply(v))
-        else:
-            with pytest.raises(ValueError, match="takes no out"):
-                p.apply(v, out=out)
+    @pytest.mark.parametrize("kind", ["diag", "dense", "sparse", "stencil"])
+    def test_product_goes_into_out(self, kind):
+        # a vector's or a block's product is written into out, with the
+        # bits of the stored Hessian's own product of each row
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((27, 27))
+        h = {"diag": rng.uniform(0.5, 4.0, 27), "dense": m @ m.T, "sparse": sp.csr_matrix(m + m.T)}.get(kind)
+        p = QuadraticProblem.laplace3d(3) if kind == "stencil" else QuadraticProblem(h)
+        a = p.hessian
+        for shape in ((27,), (3, 27)):
+            v, out = rng.standard_normal(shape), np.empty(shape)
+            assert p.apply(v, out=out) is out
+            for row, got in zip(v.reshape(-1, 27), out.reshape(-1, 27)):
+                assert same_bits(got, a * row if kind == "diag" else a @ row)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_writes_its_own_copy_of_an_aligned_hessian(self):

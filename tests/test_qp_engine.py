@@ -410,17 +410,22 @@ class TestRunMany:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_failing_rows_beside_healthy_ones(self):
-        # indefinite: some rows converge to the saddle point, some hit the
-        # cap, some overflow and DY/SDC meet an undefined short step
-        p = QuadraticProblem(np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4))
         specs = every_method(3, 2) + [StrategySpec("DY"), StrategySpec("BB1")]
-        traces = assert_rows_equal_solo_runs(
-            p, np.ones(4), specs, eps=1e-6, max_iter=3000, retain_gradients=True
-        )
-        terminations = {tr.termination for tr in traces}
-        assert terminations == {"gradient_tol", "iter_cap", "diverged"}
-        failures = {tr.failure.split(" at ")[0] for tr in traces if tr.termination == "diverged"}
-        assert failures == {"nonfinite objective", "stepsize undefined"}
+        cases = [
+            # indefinite: AOPT hits the cap, SD overflows and every other
+            # row meets g'Ag <= 0
+            (np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4), np.ones(4),
+             {"iter_cap", "diverged"}, {"nonfinite objective", "nonpositive curvature"}),
+            # tiny eigenvalues and a huge start: DY's and SDC's two-point
+            # step overflows, the other rows converge
+            (np.array([1e-10, 2e-10]), None, np.full(2, 1e155), {"gradient_tol", "diverged"}, {"stepsize undefined"}),
+        ]
+        for hessian, b, x1, terminations, failures in cases:
+            traces = assert_rows_equal_solo_runs(
+                QuadraticProblem(hessian, b), x1, specs, eps=1e-6, max_iter=3000, retain_gradients=True
+            )
+            assert {tr.termination for tr in traces} == terminations
+            assert {tr.failure.split(" at ")[0] for tr in traces if tr.termination == "diverged"} == failures
 
     @pytest.mark.parametrize("n", [999, 1000, 1001])
     @pytest.mark.parametrize("dense", [False, True], ids=["diag", "dense"])
@@ -493,11 +498,12 @@ class TestAlignedBuffers:
         assert all(w is block[0] for w in block) and block[0].ctypes.data % 64 == 0
 
 
-# (Hessian, b, start, strategy, cause named in the failure)
+# (Hessian, b, start, strategy, cause named in the failure, steps taken)
 FAILURES = {
-    "singular": ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], [1.0, 1.0], "SD", "zero curvature g'Ag = 0"),
-    "indefinite_dy": (np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4), np.ones(4), "DY", "yuan_stepsize"),
-    "overflow": ([1e300, 1.0], [1.0, 1.0], [1.0, 1.0], "SD", "nonfinite gradient norm or objective"),
+    "singular": ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], [1.0, 1.0], "SD", "curvature at iteration 1: g'Ag = 0", 0),
+    "indefinite_dy": (np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4), np.ones(4), "DY", "nonpositive curvature", 2),
+    "overflow": ([1e300, 1.0], [1.0, 1.0], [1.0, 1.0], "SD", "nonfinite gradient norm or objective", 0),
+    "overflowed_dy": ([1e-10, 2e-10], None, np.full(2, 1e155), "DY", "stepsize undefined at iteration 2", 1),
 }
 
 
@@ -507,14 +513,14 @@ class TestNamedFailures:
     @pytest.mark.parametrize("case", FAILURES)
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_run_returns_the_failed_trace(self, case):
-        hessian, b, x1, method, cause = FAILURES[case]
+        hessian, b, x1, method, cause, steps = FAILURES[case]
         p = QuadraticProblem(np.asarray(hessian), b)
         # the failure comes back as the trace, not raised
         trace = run(p, np.asarray(x1), StrategySpec(method), eps=1e-9)
         assert trace.termination == "diverged"
         assert cause in trace.failure
         assert len(trace.gnorm) == trace.iterations + 1 == len(trace.alpha) + 1
-        assert trace.iterations == (0 if case != "indefinite_dy" else 2)
+        assert trace.iterations == steps
         # x_final is the last recorded iterate
         assert p.objective(trace.x_final) == pytest.approx(trace.f[-1])
 
@@ -523,6 +529,7 @@ class TestNamedFailures:
         p = QuadraticProblem(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
         (trace,) = run_many(p, np.ones(2), [StrategySpec(method)])
         assert (trace.termination, trace.iterations) == ("diverged", 0)
+        assert trace.failure == "nonpositive curvature at iteration 1: g'Ag = 0"
         assert np.array_equal(trace.x_final, np.ones(2))
 
 
