@@ -9,8 +9,10 @@ instance is a quadratic (descriptor, seed), built once with its start and
 row labels by ``generators.gen_instance`` (the one reader of the problem
 descriptor format that plans share with the CLI), or an entry of the
 bound-constrained suite. Each of its strategies runs once, at the
-smallest tolerance (the quadratic ones in one ``qp_engine.run_many``
-call), and every tolerance's row is read off that trajectory. Quadratic
+smallest tolerance (the quadratic ones in one ``qp_engine.each_trace``
+call), and every tolerance's row is read off that trajectory as soon as
+it ends, which then is dropped: a process holds one instance and at most
+one finished trace at a time. Quadratic
 rows do not depend on the BLAS thread count (see ``qp_engine``); box rows
 may, so pin it when comparing their CSVs across machines. The
 reproducible metrics are iteration and function-evaluation counts.
@@ -66,11 +68,13 @@ class ExperimentPlan:
     """Validated experiment grid.
 
     ``problems`` entries are either quadratic descriptors in the format
-    of ``generators.gen_instance`` ({"family", "n", "kappa", "seeds",
-    "mode"} with mode one of diag / diag_equiv / dense, or
+    of ``generators.gen_instance`` ({"family", "n", "kappa", "seed" or
+    "seeds", "mode"} with mode one of diag / diag_equiv / dense, or
     {"kind": "laplace3d", "variant", "N"}) or {"kind": "box_suite"} for
     the bound-constrained suite. Family and laplace3d entries are checked
-    at load (see ``generators.family_spec`` and ``laplace_spec``).
+    at load (see ``generators.family_spec`` and ``laplace_spec``); an
+    entry takes only its kind's keys, with ``seed`` an int and ``seeds``
+    a nonempty list of ints.
     ``strategies`` entries carry only fields of ``qp_engine.StrategySpec``
     ({"method", "h", "s", ...}) or, for the box solvers, "variant" and "M"
     (a box run takes the plan's tolerance and cap); every strategy must
@@ -106,10 +110,22 @@ class ExperimentPlan:
         for p in self.problems:
             if "family" in p:
                 family_spec(p, seed=0)
+                keys = {"family", "n", "kappa", "seed", "seeds", "mode"}
             elif p.get("kind") == "laplace3d":
                 laplace_spec(p)
-            elif p.get("kind") != "box_suite":
+                keys = {"kind", "variant", "N"}
+            elif p.get("kind") == "box_suite":
+                keys = {"kind"}
+            else:
                 raise ValueError(f"problem entry needs 'family' or a known 'kind': {p!r}")
+            if unknown := sorted(p.keys() - keys):
+                raise ValueError(f"problem entry {p!r} sets {unknown}; it takes only {sorted(keys)}")
+            # type(True) is bool, so JSON's true and false are not seeds
+            if "seed" in p and type(p["seed"]) is not int:
+                raise ValueError(f"problem entry {p!r}: 'seed' must be an int")
+            seeds = p.get("seeds", [0])
+            if not (isinstance(seeds, list) and seeds and all(type(seed) is int for seed in seeds)):
+                raise ValueError(f"problem entry {p!r}: 'seeds' must be a nonempty list of ints")
         box = [p.get("kind") == "box_suite" for p in self.problems]
         if any(box) and any("variant" not in s for s in self.strategies):
             raise ValueError("box_suite problems need box-solver strategies")
@@ -189,21 +205,23 @@ def _rows(trace, plan: ExperimentPlan, family, kappa, method: str, h, s, seed) -
 
 
 def _execute(job, plan: ExperimentPlan) -> list[dict]:
-    """Rows of one instance, which is dropped when it returns: each
-    strategy runs once, at the smallest tolerance, and every tolerance's
-    row is read off that trajectory."""
+    """Rows of one instance, in strategy order; the instance is dropped
+    when it returns. Each strategy runs once, at the smallest tolerance,
+    and every tolerance's row is read off that trajectory as soon as it
+    ends, so no finished trace is alive while the next one runs."""
     eps, cap = min(plan.tolerances), plan.iter_cap
     if job[0] == "qp":
         _, desc, seed = job
         problem, x1, meta = gen_instance(desc, seed)
         specs = [StrategySpec(**strat) for strat in plan.strategies]
-        # the strategies run as one lockstep block
-        traces = qp_engine.run_many(problem, x1, specs, eps=eps, max_iter=cap)
-        rows = []
-        for sp, trace in zip(specs, traces):
+        parts = [None] * len(specs)
+        # the strategies run in lockstep blocks; each trace arrives as its row stops
+        for i, trace in qp_engine.each_trace(problem, x1, specs, eps, cap):
+            sp = specs[i]
             h, s = (sp.h, sp.s) if sp.method in HS_METHODS else ("", "")
-            rows += _rows(trace, plan, meta["family"], meta["kappa"], sp.method, h, s, seed)
-        return rows
+            parts[i] = _rows(trace, plan, meta["family"], meta["kappa"], sp.method, h, s, seed)
+            del trace  # before the engine resumes
+        return [row for part in parts for row in part]
     entry, rows = job[1], []
     for strat in plan.strategies:
         c = box_solver.BoxRunConfig(**strat, eps_pg=eps, max_iter=cap)

@@ -1,9 +1,10 @@
 """Fixed-rule gradient iteration x_{k+1} = x_k - alpha_k g_k on quadratics.
 
-There is one engine, ``run_many``: it runs any number of strategies on
-one problem from one start in lockstep and records a full trace per
-strategy. The strategies' iterates, gradients and Hessian products are
-the rows of (B, n) blocks; a block of one row is a plain vector, and
+There is one engine, ``each_trace``: it runs any number of strategies
+on one problem from one start in lockstep and yields each strategy's
+full trace as soon as its row stops; ``run_many`` collects the traces
+in spec order. The strategies' iterates, gradients and Hessian products
+are the rows of (B, n) blocks; a block of one row is a plain vector, and
 ``run`` is a block of one row. Each iteration costs exactly one
 Hessian-vector product per row: the gradient is advanced by the
 recurrence g_{k+1} = g_k - alpha_k A g_k and the objective by the exact
@@ -56,6 +57,16 @@ rows stop the others move up into the leading rows in place. The same
 ufuncs and BLAS dots run in the same order as on fresh arrays, so every
 bit is the same. Blocks run one after another in the calling thread; a
 plan gets its parallelism from ``bench.run_plan``'s processes.
+
+Streaming: the engine reads the start x1 without copying it, and keeps
+the start gradient only until ||g_1||, f_1 and any retained copies are
+taken; each block computes its own G = A x1 - b, one product more per
+block. A trace leaves the engine when its row stops, and the engine
+keeps no reference to it. So a caller that drops each trace before it
+resumes the generator, as ``bench`` does, holds one block's arrays and
+no finished trace's n-vector ``x_final``: measured at N = 100 (n = 10^6),
+one table5 instance of 13 one-row blocks peaked at 81 MB per process,
+against 193 MB when every trace waited for the last strategy.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -79,6 +90,7 @@ __all__ = [
     "RunTrace",
     "run",
     "run_many",
+    "each_trace",
     "stepsize_history_diagnostic",
 ]
 
@@ -111,15 +123,16 @@ class _Row:
     quotient that the NEWS family's short rule reads; its rule and
     schedule; the short rules' memory (ABBMIN2's BB2 ``window`` and
     ``tau``, SDC's ``frozen`` step); its step count k, the step it takes
-    next (alpha, label) with the objective f it reaches; its recorder, and
-    its place ``out`` among the returned traces.
+    next (alpha, label) with the objective f it reaches; its recorder; its
+    place ``out`` among the traces, and its ``method``, which a failure's
+    cause names.
     """
 
     __slots__ = (
         "gw", "gnorm", "sd", "aopt", "bb2",
         "gw_prev", "gnorm_prev", "sd_prev", "aopt_prev", "bb2_prev", "bar",
         "first", "later", "short", "h", "period", "bars", "window", "tau", "frozen",
-        "k", "alpha", "label", "f", "trace", "grads", "out",
+        "k", "alpha", "label", "f", "trace", "grads", "out", "method",
     )
 
     def __init__(self, spec: "StrategySpec", f1: float, trace: "TraceRecorder", grads: list | None, out: int):
@@ -134,6 +147,7 @@ class _Row:
         self.bars = None if rule.lag is None else deque([None] * rule.lag, maxlen=rule.lag + 1)
         self.k, self.f = 0, f1
         self.trace, self.grads, self.out = trace, grads, out
+        self.method = spec.method
 
 
 # Short rules: (row, long value, first step of the short phase) -> (alpha, label)
@@ -409,13 +423,13 @@ def run_many(
 ) -> list[RunTrace]:
     """Run every strategy in ``specs`` on ``p`` from ``x1``; one trace per spec, in order.
 
-    Each strategy iterates until ||g_k|| <= eps * ||g_1|| or its step
-    count hits max_iter. The strategies advance in lockstep blocks of at
-    most max(1, BLOCK_ELEMENTS // n) rows, which run one after another, and
-    a row that stops leaves its block.
-    Every trace is bitwise equal to that strategy run alone, whatever the
-    other rows are, and the same under any BLAS thread count. The path
-    does not depend on ``eps``, which only decides where it stops.
+    The traces of ``each_trace``, collected into spec order, so every
+    trace stays alive until the last strategy has stopped (a plan turns
+    each into rows as it comes instead). Each strategy iterates until
+    ||g_k|| <= eps * ||g_1|| or its step count hits max_iter. Every trace
+    is bitwise equal to that strategy run alone, whatever the other rows
+    are, and the same under any BLAS thread count. The path does not
+    depend on ``eps``, which only decides where it stops.
 
     A row that fails numerically is returned, not raised: it ends
     ``diverged`` with its trace up to the last iterate whose objective is
@@ -425,9 +439,36 @@ def run_many(
     step to a nonfinite objective, nonpositive curvature g'Ag <= 0 (a
     singular or indefinite Hessian) and an undefined (overflowed) stepsize.
     """
+    traces: list[RunTrace | None] = [None] * len(specs)
+    for i, trace in each_trace(p, x1, specs, eps, max_iter, retain_gradients):
+        traces[i] = trace
+    return traces
+
+
+def each_trace(
+    p: QuadraticProblem,
+    x1: np.ndarray,
+    specs: list[StrategySpec],
+    eps: float = 1e-9,
+    max_iter: int = 20000,
+    retain_gradients: bool = False,
+) -> Iterator[tuple[int, RunTrace]]:
+    """Yield (index into ``specs``, trace) for every strategy, each as its
+    row stops; ``run_many`` takes the same arguments and states the rules.
+
+    The strategies advance in lockstep blocks of at most
+    max(1, BLOCK_ELEMENTS // n) rows, which run one after another, and a
+    row that stops leaves its block and is yielded at once; a row that
+    stops at the start is yielded before any block runs. The engine
+    keeps no trace it has yielded, so a caller that drops each one before
+    resuming holds at most one finished trace (and its n-vector
+    ``x_final``) at a time. ``x1`` is read, not copied: it must not change
+    while the generator runs. The arguments are checked when the first
+    trace is asked for.
+    """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    x = np.asarray(x1, dtype=np.float64).copy()
+    x = np.asarray(x1, dtype=np.float64, order="C")  # a strided x1 is copied, so its dots sum as a contiguous one's
     if x.shape != (p.dim,):
         raise ValueError(f"x1 has shape {x.shape}, expected ({p.dim},)")
 
@@ -438,27 +479,29 @@ def run_many(
     failure = None
     if not (math.isfinite(gnorm1) and math.isfinite(f1)):
         failure = "nonfinite gradient norm or objective at the start"
-    traces: list[RunTrace | None] = [None] * len(specs)
     rows = []
     for out, spec in enumerate(specs):
         trace = TraceRecorder(f1, gnorm1, tol, max_iter)
         grads = [g.copy()] if retain_gradients else None
         if failure:
-            traces[out] = trace.result(x.copy(), "diverged", gradients=grads, failure=failure)
+            yield out, trace.result(x.copy(), "diverged", gradients=grads, failure=failure)
         elif trace.stop(gnorm1):
-            traces[out] = trace.result(x.copy(), gradients=grads)
+            yield out, trace.result(x.copy(), gradients=grads)
         else:
             rows.append(_Row(spec, f1, trace, grads, out))
+    del g  # each block takes its own start gradient (see _run_block)
     height = max(1, BLOCK_ELEMENTS // p.dim)
     for i in range(0, len(rows), height):
-        _run_block(p, x, g, rows[i : i + height], tol, max_iter, traces)
-    return traces
+        yield from _run_block(p, x, rows[i : i + height], tol, max_iter)
 
 
-def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
-    """Run the rows ``live`` from iterate 1 = (x, g) until each has
-    stopped, storing their traces; rows leave the block as they stop.
-    ``x`` and ``g`` are shared between blocks and never written."""
+def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
+    """Run the rows ``live`` from iterate 1, ``x``, until each has
+    stopped, yielding (its place among the traces, its trace) as it stops;
+    rows leave the block as they stop. ``x`` is shared between blocks and
+    never written. The block takes the start gradient A x - b into its
+    own array by the per-element operations of ``p.gradient``, so its
+    bits are the same at the cost of one product per block."""
     n = p.dim
     one = len(live) == 1
     # the working arrays, allocated once (see the module docstring)
@@ -470,7 +513,7 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
     S = aligned_empty(width if one else shape)
     AL = None if one else aligned_empty(shape)
     np.copyto(X, x)
-    np.copyto(G, g)
+    np.subtract(p.apply(X, out=G), p.b, out=G)
     W = p.apply(G, out=aligned_empty(shape))
     lagged = any(r.bars is not None for r in live)
     while True:
@@ -490,8 +533,8 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
                 if r.grads is not None:
                     r.grads.append(G.reshape(-1, n)[i].copy())
                 if gnorm <= tol or k >= max_iter:
-                    traces[r.out] = r.trace.result(X.reshape(-1, n)[i].copy(), gradients=r.grads)
                     done.append(i)
+                    yield r.out, r.trace.result(X.reshape(-1, n)[i].copy(), gradients=r.grads)
                     continue
             r.k = k = k + 1
             gw, ww = GW[i], WW[i]
@@ -517,6 +560,8 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
                         phase = k % r.period
                         if phase >= r.h:
                             alpha, label = r.short(r, alpha, phase == r.h)
+                except OverflowError:  # a float ** whose result is out of range
+                    failure = f"stepsize undefined at iteration {k}: the {r.method} stepsize overflowed"
                 except (ArithmeticError, StepsizeUndefinedError) as exc:
                     failure = f"stepsize undefined at iteration {k}: {exc}"
                 else:
@@ -525,10 +570,8 @@ def _run_block(p, x, g, live, tol, max_iter, traces) -> None:
                         r.alpha, r.label, r.f = alpha, label, f
                         continue
                     failure = f"nonfinite objective at iteration {k}"
-            traces[r.out] = r.trace.result(
-                X.reshape(-1, n)[i].copy(), "diverged", gradients=r.grads, failure=failure
-            )
             done.append(i)
+            yield r.out, r.trace.result(X.reshape(-1, n)[i].copy(), "diverged", gradients=r.grads, failure=failure)
 
         if done:
             if len(done) == len(live):

@@ -85,6 +85,30 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="'mode'"):
             tiny_plan(problems=[{"family": "SET1", "n": 30, "kappa": 100.0, "seeds": [1], "kind": kind}])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"kind": "box_suite", "foo": 1},
+            {"kind": "laplace3d", "variant": "A", "N": 4, "seeds": [1]},
+            {"family": "SET1", "n": 30, "kappa": 100.0, "seeds": [1], "foo": 1},
+        ],
+        ids=["box_suite", "laplace3d", "family"],
+    )
+    def test_problem_entry_with_an_unknown_key(self, entry):
+        strategy = {"variant": "A1"} if entry.get("kind") == "box_suite" else {"method": "SD"}
+        key = "'seeds'" if entry.get("kind") == "laplace3d" else "'foo'"
+        with pytest.raises(ValueError, match=rf"sets \[{key}\]; it takes only"):
+            tiny_plan(problems=[entry], strategies=[strategy])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", [1, 2]), ("seed", 1.5), ("seed", True), ("seeds", []), ("seeds", [1, 2.0]), ("seeds", 3)],
+    )
+    def test_seeds_must_be_ints(self, key, value):
+        entry = {"family": "SET1", "n": 30, "kappa": 100.0, key: value}
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            tiny_plan(problems=[entry])
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             tiny_plan(problems=[{"family": "SET1", "n": 30, "kappa": 100.0, "seeds": [1], "mode": "rotated"}])
@@ -392,13 +416,13 @@ class TestSharedTrajectory:
         # CPU the plan runs in this process, where the lists see every call
         one_cpu(monkeypatch)
         builds, runs = [], []
-        build, run_many = bench.gen_instance, qp_engine.run_many
+        build, each_trace = bench.gen_instance, qp_engine.each_trace
         monkeypatch.setattr(bench, "gen_instance", lambda *a: builds.append(a) or build(*a))
-        def counted(p, x1, specs, **kw):
-            runs.append((kw["eps"], [s.method for s in specs]))
-            return run_many(p, x1, specs, **kw)
+        def counted(p, x1, specs, eps, *args):
+            runs.append((eps, [s.method for s in specs]))
+            return each_trace(p, x1, specs, eps, *args)
 
-        monkeypatch.setattr(qp_engine, "run_many", counted)
+        monkeypatch.setattr(qp_engine, "each_trace", counted)
         rows = run_plan(tiny_plan(tolerances=[1e-6, 1e-9, 1e-3]))
         assert len(rows) == 12  # 2 seeds x 2 strategies x 3 tolerances
         assert len(builds) == 2

@@ -106,6 +106,25 @@ def test_unknown_strategy_key_exits_1(tmp_path, capsys, strategy):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        ({"kind": "box_suite", "foo": 1}, "sets ['foo']; it takes only"),
+        ({"family": "TP1", "n": 10, "kappa": 10.0, "seed": [1, 2]}, "'seed' must be an int"),
+    ],
+    ids=["unknown-key", "seed-list"],
+)
+def test_bad_problem_entry_exits_1(tmp_path, capsys, problem, message):
+    plan = tmp_path / "plan.json"
+    strategy = {"variant": "A1"} if "kind" in problem else {"method": "SD"}
+    plan.write_text(json.dumps({"problems": [problem], "strategies": [strategy], "tolerances": [1e-6]}))
+    rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: problem entry") and message in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_negative_box_tolerance_exits_1(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import weakref
 from collections import deque
 from pathlib import Path
 
@@ -449,6 +450,16 @@ class TestRunMany:
     def test_no_specs(self):
         assert run_many(QuadraticProblem(np.ones(2)), np.ones(2), []) == []
 
+    def test_strided_start_keeps_the_bits(self):
+        # the engine reads x1 in place, but copies a strided one: a strided
+        # BLAS dot sums in another order than a contiguous one
+        p = small_problem(n=1000)
+        x1 = np.random.default_rng(4).standard_normal(2000)[::2]
+        specs = [StrategySpec("BB1"), StrategySpec("NEWS", h=3, s=5)]
+        kw = {"eps": 1e-8, "max_iter": 50}
+        for a, b in zip(run_many(p, x1, specs, **kw), run_many(p, x1.copy(), specs, **kw)):
+            assert_same_trace(a, b)
+
 
 class TestAlignedBuffers:
     """A diagonal block's gradients and Hessian products, and the Hessian
@@ -492,10 +503,12 @@ class TestAlignedBuffers:
 
         monkeypatch.setattr(QuadraticProblem, "apply", recording_apply)
         trace = run(p, np.zeros(p.dim), StrategySpec("DY"), eps=1e-6)
-        # after the start's gradient, the block's first product and one per step
-        first, *block = outs
+        # after the start's gradient, the block's own start product into its
+        # gradient array, then the block's first product and one per step
+        first, start, *block = outs
         assert first is None and len(block) == trace.iterations + 1
         assert all(w is block[0] for w in block) and block[0].ctypes.data % 64 == 0
+        assert start is not block[0] and start.ctypes.data % 64 == 0
 
 
 # (Hessian, b, start, strategy, cause named in the failure, steps taken)
@@ -503,7 +516,10 @@ FAILURES = {
     "singular": ([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], [1.0, 1.0], "SD", "curvature at iteration 1: g'Ag = 0", 0),
     "indefinite_dy": (np.diag([1.0, 3.0, 10.0, -1.0]), np.ones(4), np.ones(4), "DY", "nonpositive curvature", 2),
     "overflow": ([1e300, 1.0], [1.0, 1.0], [1.0, 1.0], "SD", "nonfinite gradient norm or objective", 0),
-    "overflowed_dy": ([1e-10, 2e-10], None, np.full(2, 1e155), "DY", "stepsize undefined at iteration 2", 1),
+    "overflowed_dy": (
+        [1e-10, 2e-10], None, np.full(2, 1e155), "DY",
+        "stepsize undefined at iteration 2: the DY stepsize overflowed", 1,
+    ),
 }
 
 
@@ -630,18 +646,52 @@ class TestOneRowBlocksInTurn:
         assert {tr.termination for tr in traces} == {"gradient_tol"}
 
     def test_shared_start_is_not_written(self, laplace_b33, monkeypatch):
+        # every block reads the caller's start itself, and none writes it
         seen = []
         run_block = qp_engine._run_block
 
-        def recording(p, x, g, *args):
-            seen.append((x, x.copy(), g, g.copy()))
-            run_block(p, x, g, *args)
+        def recording(p, x, *args):
+            seen.append((x, x.copy()))
+            yield from run_block(p, x, *args)
 
         monkeypatch.setattr(qp_engine, "_run_block", recording)
-        run_many(laplace_b33, np.ones(laplace_b33.dim), every_method(3, 2), eps=1e-9, max_iter=30)
+        x1 = np.ones(laplace_b33.dim)
+        run_many(laplace_b33, x1, every_method(3, 2), eps=1e-9, max_iter=30)
         assert len(seen) == len(METHODS)
-        for x, x_before, g, g_before in seen:
-            assert np.array_equal(x, x_before) and np.array_equal(g, g_before)
+        for x, x_before in seen:
+            assert x is x1 and np.array_equal(x, x_before)
+        assert np.array_equal(x1, np.ones(laplace_b33.dim))
+
+    def test_finished_traces_are_freed_before_the_next_block(self, laplace_b33, monkeypatch):
+        # the plan runner turns each trace into rows as its row stops and
+        # drops it, so when a block takes its arrays every earlier trace has
+        # been delivered and its x_final is gone
+        desc = {"kind": "laplace3d", "variant": "B", "N": 33}
+        plan = bench.ExperimentPlan.from_json({
+            "problems": [desc],
+            "strategies": [{"method": m} for m in ("SD", "BB1", "DY", "ABBMIN2")],
+            "tolerances": [1e-9],
+            "iter_cap": 20,
+        })
+        finals, seen = [], []
+        rows, empty = bench._rows, qp_engine.aligned_empty
+
+        def recording_rows(trace, *args):
+            finals.append(weakref.ref(trace.x_final))
+            return rows(trace, *args)
+
+        def recording_empty(shape):
+            seen.append((len(finals), sum(ref() is not None for ref in finals)))
+            return empty(shape)
+
+        start, meta = np.zeros(laplace_b33.dim), {"family": "LAPLACE-B", "kappa": 1.0}
+        monkeypatch.setattr(bench, "gen_instance", lambda *a: (laplace_b33, start, meta))
+        monkeypatch.setattr(bench, "_rows", recording_rows)
+        monkeypatch.setattr(qp_engine, "aligned_empty", recording_empty)
+        assert [r["iters"] for r in bench._execute(("qp", desc, 0), plan)] == [20] * 4
+        # (traces delivered, x_finals alive) at every array a block takes
+        assert sorted(set(seen)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+        assert len(finals) == 4 and all(ref() is None for ref in finals)
 
     def test_traces_are_thread_independent(self):
         # all 13 methods on the one-row Laplacian; digest of every field
