@@ -140,15 +140,22 @@ class ExperimentPlan:
 
     @staticmethod
     def from_json(desc: dict) -> "ExperimentPlan":
-        try:
-            return ExperimentPlan(
-                problems=desc["problems"],
-                strategies=desc["strategies"],
-                tolerances=[float(t) for t in desc["tolerances"]],
-                iter_cap=int(desc.get("iter_cap", 20000)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"plan is missing required key {exc}") from exc
+        """The plan of a JSON object: ``problems`` and ``strategies`` lists
+        of objects, ``tolerances`` a list of numbers and ``iter_cap`` (20000
+        if absent) an int; JSON's true and false are neither."""
+        if not isinstance(desc, dict):
+            raise ValueError(f"a plan must be a JSON object, not {type(desc).__name__}")
+        if missing := sorted({"problems", "strategies", "tolerances"} - desc.keys()):
+            raise ValueError(f"plan is missing required key(s) {missing}")
+        for key in ("problems", "strategies"):
+            if not (isinstance(desc[key], list) and all(isinstance(e, dict) for e in desc[key])):
+                raise ValueError(f"plan key '{key}' must be a list of objects")
+        tolerances, iter_cap = desc["tolerances"], desc.get("iter_cap", 20000)
+        if not (isinstance(tolerances, list) and all(type(t) in (int, float) for t in tolerances)):
+            raise ValueError("plan key 'tolerances' must be a list of numbers")
+        if type(iter_cap) is not int:
+            raise ValueError("plan key 'iter_cap' must be an int")
+        return ExperimentPlan(desc["problems"], desc["strategies"], [float(t) for t in tolerances], iter_cap)
 
     @staticmethod
     def load(path: str) -> "ExperimentPlan":

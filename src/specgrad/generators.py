@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import QuadraticProblem
+from .problem import QuadraticProblem, aligned_empty
 
 __all__ = [
     "SpectrumSpec",
@@ -204,11 +204,14 @@ def gen_laplace3d(spec: LaplaceSpec) -> tuple[QuadraticProblem, np.ndarray]:
     The 1/h^2 stencil scaling is omitted: it rescales both sides and
     leaves the conditioning untouched.
     The problem is ``QuadraticProblem.laplace3d``, kind ``stencil``, and
-    b comes from its matrix-free product: no sparse matrix is built.
+    its matrix-free product writes b straight into the problem: no sparse
+    matrix and no second n-vector is built. x_star takes a memory map of
+    its own (``aligned_empty``), whose pages go back to the system when a
+    caller drops it, where a freed heap array would stay resident.
     """
     N = spec.N
     sigma, ca, cb, cg = spec.params
-    a = QuadraticProblem.laplace3d(N)
+    p = QuadraticProblem.laplace3d(N)
     u = np.arange(1, N + 1) / (N + 1.0)
     damp = u * (u - 1.0)
     decay = 0.5 * sigma * sigma
@@ -216,8 +219,9 @@ def gen_laplace3d(spec: LaplaceSpec) -> tuple[QuadraticProblem, np.ndarray]:
     fy = np.exp(-decay * (u - cb) ** 2) * damp
     fz = np.exp(-decay * (u - cg) ** 2) * damp
     # index = (k*N + j)*N + i: z slowest, x fastest
-    x_star = np.einsum("k,j,i->kji", fz, fy, fx).ravel()
-    return QuadraticProblem.laplace3d(N, a.apply(x_star)), x_star
+    x_star = np.einsum("k,j,i->kji", fz, fy, fx, out=aligned_empty((N, N, N))).ravel()
+    p.apply(x_star, out=p.b)
+    return p, x_star
 
 
 def laplace_eigen_bounds(N: int) -> tuple[float, float]:

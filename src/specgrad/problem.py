@@ -54,7 +54,10 @@ def aligned_empty(shape) -> np.ndarray:
     least one page). Over-allocated ``malloc`` buffers, a page longer
     than scipy's products of the same length, fragmented the heap:
     perfbench's laplace60 peak RSS grew from 98 MB after 3 plan runs to
-    110 MB after 8, against 97.6 MB with plain numpy arrays.
+    110 MB after 8, against 97.6 MB with plain numpy arrays. A transient
+    n-vector gains from its own map too: ``gen_laplace3d``'s x_star, left
+    resident as freed heap once a plan dropped it, raised one N = 100
+    table5 instance's peak per process from 62 to 69 MB.
     """
     size = 8 * int(np.prod(shape))
     buf = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE)

@@ -49,24 +49,31 @@ whole, as one span.
 
 Buffers: a block takes its working arrays once, each from
 ``problem.aligned_empty`` (whose docstring holds the measured reason):
-the iterates X, the gradient G and the next one, one scratch array S one
-span long, for several rows the stepsizes spread over the rows, and the
-Hessian products W. A step writes into them through ``out=`` (the
-stepsizes by one ``np.copyto``), G and the next gradient swap, and when
-rows stop the others move up into the leading rows in place. The same
-ufuncs and BLAS dots run in the same order as on fresh arrays, so every
-bit is the same. Blocks run one after another in the calling thread; a
-plan gets its parallelism from ``bench.run_plan``'s processes.
+the iterates X, the gradient G, one scratch array S one span long, for
+several rows the stepsizes spread over the rows, and the Hessian
+products W; a one-row block holds three n-vectors and a span. A step
+writes into them through ``out=`` (the stepsizes by one ``np.copyto``).
+No array holds the next gradient: a span's next gradient overwrites G's
+span in place, or, where the lagged cross dots still read the current
+one, is formed in S and copied back after them; a block of one span
+swaps G and S instead. When rows stop the others move up into the
+leading rows in place. The same ufuncs and BLAS dots run on the same
+operands in the same order as on fresh arrays, so every bit is the same.
+Blocks run one after another in the calling thread; a plan gets its
+parallelism from ``bench.run_plan``'s processes.
 
 Streaming: the engine reads the start x1 without copying it, and keeps
 the start gradient only until ||g_1||, f_1 and any retained copies are
 taken; each block computes its own G = A x1 - b, one product more per
 block. A trace leaves the engine when its row stops, and the engine
-keeps no reference to it. So a caller that drops each trace before it
-resumes the generator, as ``bench`` does, holds one block's arrays and
-no finished trace's n-vector ``x_final``: measured at N = 100 (n = 10^6),
-one table5 instance of 13 one-row blocks peaked at 81 MB per process,
-against 193 MB when every trace waited for the last strategy.
+keeps no reference to it; a one-row block, which ends with its row,
+hands over its own X as ``x_final`` uncopied. So a caller that drops
+each trace before it resumes the generator, as ``bench`` does, holds one
+block's arrays and no finished trace's n-vector ``x_final``. Measured on
+one table5 instance of 13 one-row blocks (3 steps each), the peak per
+process is 62 MB at N = 100 (n = 10^6) and 38 MB at N = 60, against 77
+and 42 MB with a next-gradient array and a copied ``x_final``; every
+trace kept until the last strategy stopped took 193 MB at N = 100.
 """
 
 from __future__ import annotations
@@ -106,8 +113,9 @@ BLOCK_ELEMENTS = 2**16
 DOT_CHUNK = 8192
 
 # A one-row block steps span by span (see the module docstring). A span
-# of this many elements of X, G, the next G, W and S takes 1.25 MB of
-# the 2 MB L2 per core of a 2-core Xeon host. Measured there at
+# of this many elements of X, G, W and S takes 1 MB of the 2 MB L2 per
+# core of a 2-core Xeon host (1.25 MB with the next-gradient array of
+# the measurement below). Measured there at
 # n = 216,000 (Laplace N = 60), one BLAS thread, best of 1000 steps: both
 # updates and the five dots took 1.00, 0.78, 0.72 and 0.77 ms in spans
 # of 8k, 16k, 32k and 64k elements, against 1.12 ms on whole vectors.
@@ -501,7 +509,10 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
     rows leave the block as they stop. ``x`` is shared between blocks and
     never written. The block takes the start gradient A x - b into its
     own array by the per-element operations of ``p.gradient``, so its
-    bits are the same at the cost of one product per block."""
+    bits are the same at the cost of one product per block. Each step
+    writes the next gradient over G (see the module docstring's
+    Buffers), and a one-row block yields its X itself as the stopped
+    row's ``x_final``, since the block returns right after it."""
     n = p.dim
     one = len(live) == 1
     # the working arrays, allocated once (see the module docstring)
@@ -509,7 +520,7 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
     # a lone row walks its vectors in spans, a block takes one span
     width = min(n, STEP_CHUNK) if one else n
     spans = [slice(lo, lo + width) for lo in range(0, n, width)]
-    X, G, G_new = (aligned_empty(shape) for _ in range(3))
+    X, G = aligned_empty(shape), aligned_empty(shape)
     S = aligned_empty(width if one else shape)
     AL = None if one else aligned_empty(shape)
     np.copyto(X, x)
@@ -534,7 +545,7 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
                     r.grads.append(G.reshape(-1, n)[i].copy())
                 if gnorm <= tol or k >= max_iter:
                     done.append(i)
-                    yield r.out, r.trace.result(X.reshape(-1, n)[i].copy(), gradients=r.grads)
+                    yield r.out, r.trace.result(X if one else X[i].copy(), gradients=r.grads)
                     continue
             r.k = k = k + 1
             gw, ww = GW[i], WW[i]
@@ -571,7 +582,7 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
                         continue
                     failure = f"nonfinite objective at iteration {k}"
             done.append(i)
-            yield r.out, r.trace.result(X.reshape(-1, n)[i].copy(), "diverged", gradients=r.grads, failure=failure)
+            yield r.out, r.trace.result(X if one else X[i].copy(), "diverged", gradients=r.grads, failure=failure)
 
         if done:
             if len(done) == len(live):
@@ -583,12 +594,14 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
                 if i != j:
                     X[j], G[j], W[j] = X[i], G[i], W[i]
             m = len(keep)
-            X, G, G_new, W, AL, S = X[:m], G[:m], G_new[:m], W[:m], AL[:m], S[:m]
+            X, G, W, AL, S = X[:m], G[:m], W[:m], AL[:m], S[:m]
             lagged = any(r.bars is not None for r in live)
 
         # one step for every row: a lone row steps by a float, a block by
         # its rows' stepsizes, each spread over its row; each span is
-        # updated and dotted in one pass
+        # updated and dotted in one pass. The next gradient overwrites G's
+        # span, in place, or, where the lagged dots still read the current
+        # one, from S after them (a block of one span swaps G and S)
         if one:
             A = live[0].alpha
         else:
@@ -596,14 +609,18 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
             np.copyto(A, np.array([r.alpha for r in live])[:, None])
         CGG = CWG = None
         for s in spans:
-            Xs, Gs, Ns, Ws = X[..., s], G[..., s], G_new[..., s], W[..., s]
+            Xs, Gs, Ws = X[..., s], G[..., s], W[..., s]
             Ss = S[..., : Gs.shape[-1]]
             np.subtract(Xs, np.multiply(A, Gs, out=Ss), out=Xs)
+            Ns = Ss if lagged else Gs
             np.subtract(Gs, np.multiply(A, Ws, out=Ss), out=Ns)
             if lagged:
                 CGG, CWG = _row_dots(Gs, Ns, CGG), _row_dots(Ws, Ns, CWG)
-        W = p.apply(G_new, out=W)
-        G, G_new = G_new, G
+                if len(spans) > 1:
+                    np.copyto(Gs, Ns)
+        if lagged and len(spans) == 1:
+            G, S = S, G
+        W = p.apply(G, out=W)
 
 
 def run(

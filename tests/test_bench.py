@@ -160,6 +160,30 @@ class TestPlanValidation:
     def test_box_tolerance_zero_is_accepted(self):
         assert box_plan([0.0], 5).tolerances == [0.0]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tolerances", 1e-6), ("tolerances", [True]), ("tolerances", ["1e-6"]),
+            ("iter_cap", None), ("iter_cap", True), ("iter_cap", 2.7), ("iter_cap", "5"),
+            ("problems", [1]), ("problems", {"family": "TP1", "n": 40}), ("strategies", ["SD"]),
+        ],
+    )
+    def test_plan_keys_have_their_json_types(self, key, value):
+        # a ValueError naming the key, not a TypeError, and no run: int() reads true as 1 and 2.7 as 2
+        with pytest.raises(ValueError, match=f"'{key}' must be a list of|'{key}' must be an int"):
+            tiny_plan(**{key: value})
+
+    @pytest.mark.parametrize("desc", [[], [{"problems": []}], "plan", None], ids=["empty-list", "wrapped", "str", "null"])
+    def test_plan_must_be_an_object(self, desc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ExperimentPlan.from_json(desc)
+
+    def test_integer_tolerance_and_missing_cap_are_accepted(self):
+        plan = box_plan([0], 5)
+        assert plan.tolerances == [0.0] and type(plan.tolerances[0]) is float
+        desc = {k: v for k, v in vars(tiny_plan()).items() if k != "iter_cap"}
+        assert ExperimentPlan.from_json(desc).iter_cap == 20000
+
 
 class TestRunPlan:
     def test_grid_rows(self):

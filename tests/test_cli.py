@@ -125,6 +125,28 @@ def test_bad_problem_entry_exits_1(tmp_path, capsys, problem, message):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "plan_json, message",
+    [
+        ({"problems": [1], "strategies": [{"method": "SD"}], "tolerances": [1e-6]}, "'problems' must be a list of"),
+        ({"problems": [{"family": "TP1", "n": 10}], "strategies": [{"method": "SD"}], "tolerances": 1e-6},
+         "'tolerances' must be a list of"),
+        ({"problems": [{"family": "TP1", "n": 10}], "strategies": [{"method": "SD"}], "tolerances": [1e-6],
+          "iter_cap": None}, "'iter_cap' must be an int"),
+        ([], "must be a JSON object"),
+    ],
+    ids=["problem-number", "tolerance-number", "null-cap", "list"],
+)
+def test_bad_plan_shape_exits_1(tmp_path, capsys, plan_json, message):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_json))
+    rc = main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_negative_box_tolerance_exits_1(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({

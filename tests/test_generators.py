@@ -209,6 +209,19 @@ class TestLaplace:
                                     * math.exp(-sigma ** 2 * r2 / 2))
         np.testing.assert_allclose(x_star, expected, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("N", [3, 40])  # N = 40 takes two stencil slabs of 20 planes
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_b_is_the_matrix_product_bit_for_bit(self, variant, N):
+        # b is written into the problem by the stencil; x_star keeps the
+        # bits of the plain outer product of its three axis factors
+        sigma, ca, cb, cg = LaplaceSpec(variant, N).params
+        p, x_star = gen_laplace3d(LaplaceSpec(variant, N))
+        u = np.arange(1, N + 1) / (N + 1.0)
+        fx, fy, fz = (np.exp(-0.5 * sigma * sigma * (u - c) ** 2) * (u * (u - 1.0)) for c in (ca, cb, cg))
+        assert x_star.tobytes() == np.einsum("k,j,i->kji", fz, fy, fx).ravel().tobytes()
+        assert p.b.tobytes() == (_laplace_matrix(N) @ x_star).tobytes()
+        assert not np.shares_memory(p.b, x_star)
+
     def test_solution_vanishes_toward_boundary_factor(self):
         _, x_star = gen_laplace3d(LaplaceSpec("A", 6))
         assert np.all(x_star != 0.0)

@@ -41,6 +41,18 @@ def small_problem(seed=0, n=60, kappa=100.0, family="TP1"):
     return gen_diag_problem(SpectrumSpec(family, n, kappa, seed))
 
 
+def record_block_arrays(monkeypatch) -> list:
+    """The list that every array the engine takes from ``aligned_empty`` is appended to."""
+    taken, empty = [], qp_engine.aligned_empty
+
+    def recording_empty(shape):
+        taken.append(empty(shape))
+        return taken[-1]
+
+    monkeypatch.setattr(qp_engine, "aligned_empty", recording_empty)
+    return taken
+
+
 class TestStrategySpec:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -493,6 +505,18 @@ class TestAlignedBuffers:
         assert products and products <= dotted and len(starts) >= 4
         assert [a % 64 for a in starts] == [0] * len(starts)
 
+    @pytest.mark.parametrize("methods", [("NEWS0", "NEWS"), ("DY", "SD")], ids=["lagged", "in-place"])
+    def test_a_block_takes_five_arrays(self, monkeypatch, methods):
+        # X, G, the scratch S, the stepsizes AL and W, and no next-gradient
+        # array; each stopped row's x_final is a copy of its row
+        n = 1000
+        p = gen_diag_problem(SpectrumSpec("TP1", n, 1e4, 1))
+        taken = record_block_arrays(monkeypatch)
+        specs = [StrategySpec(m, h=h, s=s) for m in methods for h in (10, 20) for s in (20, 30, 50, 80, 100)]
+        traces = run_many(p, np.ones(n), specs, eps=1e-6, max_iter=200)
+        assert [a.shape for a in taken] == [(20, n)] * 5
+        assert not any(np.shares_memory(tr.x_final, a) for tr in traces for a in taken)
+
     def test_stencil_products_go_into_one_array(self, monkeypatch):
         p, _ = gen_laplace3d(LaplaceSpec("A", 8))
         outs, apply = [], QuadraticProblem.apply
@@ -692,6 +716,16 @@ class TestOneRowBlocksInTurn:
         # (traces delivered, x_finals alive) at every array a block takes
         assert sorted(set(seen)) == [(0, 0), (1, 0), (2, 0), (3, 0)]
         assert len(finals) == 4 and all(ref() is None for ref in finals)
+
+    @pytest.mark.parametrize("method", ["DY", "NEWS"])  # G updated in place; G written back from S
+    def test_a_block_takes_three_vectors_and_one_span(self, laplace_b33, monkeypatch, method):
+        # X, G and W, plus a span of scratch; the stopped row's x_final is X
+        taken = record_block_arrays(monkeypatch)
+        n = laplace_b33.dim
+        trace = run(laplace_b33, np.zeros(n), StrategySpec(method, h=3, s=2), eps=1e-9, max_iter=10)
+        assert trace.iterations == 10
+        assert sorted(a.size for a in taken) == [STEP_CHUNK, n, n, n]
+        assert [np.shares_memory(trace.x_final, a) for a in taken] == [True, False, False, False]
 
     def test_traces_are_thread_independent(self):
         # all 13 methods on the one-row Laplacian; digest of every field
