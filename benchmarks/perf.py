@@ -25,7 +25,10 @@ range; per workload it holds both sides' ``fail_frac`` per run and, under
 over its traced runs, those runs and their [min, max] range, and the
 change/parent ratio of the medians. The provenance (core count,
 numpy, scipy and OpenBLAS versions, the BLAS thread count) comes from
-perfbench's own provenance line.
+perfbench's own provenance line. ``commits`` names each side's commit:
+the one a revision resolved to, or a directory's HEAD when its ``src/``,
+``plans/`` and ``perfbench/`` match it (else null, with
+``worktree_modified`` true), with the digest of its ``src/``.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_RUNS = 3  # per side, for the per-layer medians
+TREE_PARTS = ("src", "plans", "perfbench")  # what a benchmark run reads of a tree
 
 
 def parse_args(argv):
@@ -62,13 +66,14 @@ def parse_args(argv):
     return args
 
 
-def materialize(spec: str, scratch: Path) -> tuple[Path, str]:
-    """(tree, label) for a directory, labelled by its name, or, failing
-    that, a git revision, labelled by its commit; the record's ``commits``
-    also gives each side's source digest."""
+def materialize(spec: str, scratch: Path) -> tuple[Path, str, dict]:
+    """(tree, label, commit) for a directory, labelled by its name, or,
+    failing that, a git revision, labelled by its commit. ``commit`` is
+    the side's entry in the record's ``commits`` (see ``tree_commit``);
+    the source digest is added from the side's runs."""
     path = Path(spec)
     if (path / "perfbench" / "run.py").is_file():
-        return path.resolve(), path.resolve().name
+        return path.resolve(), path.resolve().name, tree_commit(path)
     git = ["git", "-C", str(ROOT)]
     verify = git + ["rev-parse", "--verify", f"{spec}^{{commit}}"]
     rev = subprocess.run(verify, capture_output=True, text=True, timeout=60)
@@ -80,7 +85,25 @@ def materialize(spec: str, scratch: Path) -> tuple[Path, str]:
     tree.mkdir(parents=True, exist_ok=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         tar.extractall(tree, filter="data")
-    return tree, commit
+    return tree, commit, {"git_commit": commit, "worktree_modified": False}
+
+
+def tree_commit(tree: Path) -> dict:
+    """The commit a directory's benchmarked files are: its git HEAD when
+    ``TREE_PARTS`` match it (nothing modified, staged or untracked there),
+    else None with ``worktree_modified`` true; a directory that is not the
+    top of a git work tree has no commit, and ``worktree_modified`` None."""
+    tree = tree.resolve()
+    git = ["git", "-C", str(tree)]
+    head = subprocess.run(git + ["rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True, timeout=60)
+    lines = head.stdout.split()
+    if head.returncode != 0 or len(lines) != 2 or Path(lines[0]).resolve() != tree:
+        return {"git_commit": None, "worktree_modified": None}
+    status = git + ["status", "--porcelain", "--untracked-files=all", "--", *TREE_PARTS]
+    dirty = subprocess.run(status, capture_output=True, text=True, timeout=60)
+    if dirty.returncode != 0 or dirty.stdout.strip():
+        return {"git_commit": None, "worktree_modified": True}
+    return {"git_commit": lines[1], "worktree_modified": False}
 
 
 def run_once(tree: Path, workload: str, args, trace: int = 0) -> dict:
@@ -190,8 +213,7 @@ def main(argv=None) -> int:
             first = runs["parent"][0]["provenance"]
             record.setdefault("provenance", provenance(first))
             record.setdefault("commits", {
-                side: {"git_commit": runs[side][0]["provenance"].get("git_commit"),
-                       "src_sha256": runs[side][0]["provenance"].get("src_sha256")} for side in runs
+                side: trees[side][2] | {"src_sha256": runs[side][0]["provenance"].get("src_sha256")} for side in runs
             })
             record["workloads"][workload] = {
                 "seed": args.seed,

@@ -52,3 +52,39 @@ def test_one_smoke_pair_writes_the_record(tmp_path):
     assert all(len(set(layer["parent_runs"] + layer["change_runs"])) == 1 for layer in counts)
     assert all(layer["parent"] == layer["change"] for layer in counts)
     assert layers["problem.apply.calls"]["parent"] > 0
+
+
+def git(repo, *args):
+    cmd = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@localhost", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, check=True, timeout=60).stdout.strip()
+
+
+def test_each_side_is_labelled_with_the_commit_it_runs(tmp_path, monkeypatch):
+    # runs no benchmark: a committed tree, the same tree modified in each
+    # benchmarked part, and a revision exported without its .git
+    repo = tmp_path / "repo"
+    for part in ("src", "plans", "perfbench"):
+        (repo / part).mkdir(parents=True)
+        (repo / part / "a.py").write_text("x = 1\n")
+    (repo / "perfbench" / "run.py").write_text("")
+    (repo / "README.md").write_text("readme\n")
+    git(tmp_path, "init", "-q", str(repo))
+    git(repo, "add", "-A")
+    git(repo, "commit", "-q", "-m", "tree")
+    head = git(repo, "rev-parse", "HEAD")
+    clean = {"git_commit": head, "worktree_modified": False}
+    assert perf.materialize(str(repo), tmp_path)[1:] == (repo.name, clean)
+    (repo / "README.md").write_text("outside the benchmarked parts\n")
+    assert perf.tree_commit(repo) == clean
+    modified = {"git_commit": None, "worktree_modified": True}
+    for part, edit in (("src", "a.py"), ("plans", "new.json"), ("perfbench", "a.py")):
+        (repo / part / edit).write_text("x = 2\n")
+        assert perf.tree_commit(repo) == modified, part
+        git(repo, "checkout", "-q", "--", ".")
+        git(repo, "clean", "-q", "-f", "--", part)
+        assert perf.tree_commit(repo) == clean, part
+    # a revision is exported by git archive, with no .git of its own
+    monkeypatch.setattr(perf, "ROOT", repo)
+    tree, label, commit = perf.materialize("HEAD", tmp_path / "scratch")
+    assert label == head and commit == clean and not (tree / ".git").exists()
+    assert perf.tree_commit(tree) == {"git_commit": None, "worktree_modified": None}

@@ -63,6 +63,19 @@ _GROUP_FIELDS = ("family", "kappa", "eps", "method", "h", "s")
 SUMMARY_FIELDS = _GROUP_FIELDS + ("mean_iters", "runs", "failures")
 
 
+# The JSON types a strategy entry's keys take; a type is matched exactly,
+# so JSON's true and false are not numbers and 3.0 is not an int.
+_STRATEGY_TYPES = {
+    "method": (str,),
+    "variant": (str,),
+    "h": (int,),
+    "s": (int,),
+    "abb_window": (int,),
+    "M": (int,),
+    "tau": (int, float),
+}
+
+
 @dataclass
 class ExperimentPlan:
     """Validated experiment grid.
@@ -77,9 +90,9 @@ class ExperimentPlan:
     a nonempty list of ints.
     ``strategies`` entries carry only fields of ``qp_engine.StrategySpec``
     ({"method", "h", "s", ...}) or, for the box solvers, "variant" and "M"
-    (a box run takes the plan's tolerance and cap); every strategy must
-    suit every problem entry. A plan that breaks a rule raises
-    ``ValueError`` at load.
+    (a box run takes the plan's tolerance and cap), each of the JSON type
+    ``_STRATEGY_TYPES`` names; every strategy must suit every problem
+    entry. A plan that breaks a rule raises ``ValueError`` at load.
     """
 
     problems: list[dict]
@@ -106,6 +119,10 @@ class ExperimentPlan:
             keys = {f.name for f in fields(spec)} - fixed
             if unknown := sorted(s.keys() - keys):
                 raise ValueError(f"strategy entry {s!r} sets {unknown}; it takes only {sorted(keys)}")
+            for key, value in s.items():
+                if type(value) not in _STRATEGY_TYPES[key]:
+                    names = " or ".join(t.__name__ for t in _STRATEGY_TYPES[key])
+                    raise ValueError(f"strategy entry {s!r}: {key!r} must be {names}")
             spec(**s)
         for p in self.problems:
             if "family" in p:

@@ -58,6 +58,18 @@ def aligned_empty(shape) -> np.ndarray:
     n-vector gains from its own map too: ``gen_laplace3d``'s x_star, left
     resident as freed heap once a plan dropped it, raised one N = 100
     table5 instance's peak per process from 62 to 69 MB.
+
+    A transient n-vector from ``malloc`` costs more after a process's
+    first instance: glibc raises its mmap threshold to the size of each
+    mapped block it frees, so once an instance has freed its ``b`` and
+    start, later n-vectors come from the heap, whose freed pages stay
+    resident. Measured on the same host with the engine's start gradient
+    from ``malloc``: a process running table5's N = 100 instances A and
+    B twice each (cap 3) peaked at 62.0 MB after the first instance and
+    69.7 MB from the second on, and with one strategy held a heap arena
+    of 29.9 MB, 9.2 MB of it free, while each later block ran (6.1 MB at
+    the first); with the gradient in a map of its own, 61.5 MB after
+    every instance and 21.9 MB with 1.3 MB free.
     """
     size = 8 * int(np.prod(shape))
     buf = mmap.mmap(-1, max(size, 1), flags=mmap.MAP_PRIVATE)

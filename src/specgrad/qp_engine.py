@@ -65,15 +65,21 @@ parallelism from ``bench.run_plan``'s processes.
 Streaming: the engine reads the start x1 without copying it, and keeps
 the start gradient only until ||g_1||, f_1 and any retained copies are
 taken; each block computes its own G = A x1 - b, one product more per
-block. A trace leaves the engine when its row stops, and the engine
-keeps no reference to it; a one-row block, which ends with its row,
-hands over its own X as ``x_final`` uncopied. So a caller that drops
-each trace before it resumes the generator, as ``bench`` does, holds one
-block's arrays and no finished trace's n-vector ``x_final``. Measured on
+block. The start gradient takes a map of its own from ``aligned_empty``
+(the same product and subtraction as ``p.gradient``), so it goes back
+to the system when it is dropped: from ``malloc``, it left one n-vector
+of freed heap resident beside every later instance's block (the
+measurement is in ``aligned_empty``'s docstring). A trace leaves the
+engine when its row stops, and the engine keeps no reference to it; a
+one-row block, which ends with its row, hands over its own X as
+``x_final`` uncopied. So a caller that drops each trace before it
+resumes the generator, as ``bench`` does, holds one block's arrays and
+no finished trace's n-vector ``x_final``. Measured on
 one table5 instance of 13 one-row blocks (3 steps each), the peak per
 process is 62 MB at N = 100 (n = 10^6) and 38 MB at N = 60, against 77
 and 42 MB with a next-gradient array and a copied ``x_final``; every
-trace kept until the last strategy stopped took 193 MB at N = 100.
+trace kept until the last strategy stopped took 193 MB at N = 100. The
+peak stays there on every later instance of a process.
 """
 
 from __future__ import annotations
@@ -480,7 +486,9 @@ def each_trace(
     if x.shape != (p.dim,):
         raise ValueError(f"x1 has shape {x.shape}, expected ({p.dim},)")
 
-    g = p.gradient(x)
+    # p.gradient(x) in a map of its own (see the module docstring's Streaming)
+    g = p.apply(x, out=aligned_empty(p.dim))
+    np.subtract(g, p.b, out=g)
     gnorm1 = math.sqrt(_dot(g, g))
     f1 = 0.5 * _dot(x, g) - 0.5 * _dot(p.b, x)
     tol = eps * gnorm1

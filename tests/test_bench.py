@@ -141,6 +141,24 @@ class TestPlanValidation:
                 "strategies": [entry], "tolerances": [1e-6],
             })
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"method": 1}, "method"), ({"variant": 1}, "variant"),
+            ({"method": "NEWS", "h": "3"}, "h"), ({"method": "NEWS", "s": 3.0}, "s"),
+            ({"method": "ABBMIN2", "tau": "0.5"}, "tau"), ({"method": "ABBMIN2", "tau": True}, "tau"),
+            ({"method": "ABBMIN2", "abb_window": 2.5}, "abb_window"),
+            ({"variant": "SPG", "M": "8"}, "M"), ({"variant": "SPG", "M": 8.5}, "M"),
+            ({"variant": "SPG", "M": True}, "M"),
+        ],
+    )
+    def test_strategy_keys_have_their_json_types(self, entry, key):
+        # a ValueError naming the key at load: not an AttributeError or
+        # TypeError, nor a run that reads 3.0 as s or true as M = 1
+        problem = {"kind": "box_suite"} if "variant" in entry else tiny_plan().problems[0]
+        with pytest.raises(ValueError, match=f"'{key}' must be"):
+            ExperimentPlan.from_json({"problems": [problem], "strategies": [entry], "tolerances": [1e-6]})
+
     @pytest.mark.parametrize("key", ["eps_pg", "max_iter"])
     def test_box_strategy_may_not_set_its_own_tolerance_or_cap(self, key):
         # the plan's tolerances and iter_cap label the rows, so they apply to every strategy

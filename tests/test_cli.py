@@ -134,8 +134,12 @@ def test_bad_problem_entry_exits_1(tmp_path, capsys, problem, message):
         ({"problems": [{"family": "TP1", "n": 10}], "strategies": [{"method": "SD"}], "tolerances": [1e-6],
           "iter_cap": None}, "'iter_cap' must be an int"),
         ([], "must be a JSON object"),
+        ({"problems": [{"family": "TP1", "n": 10}], "strategies": [{"method": 1}], "tolerances": [1e-6]},
+         "'method' must be str"),
+        ({"problems": [{"family": "TP1", "n": 10}], "strategies": [{"method": "NEWS", "h": "3"}],
+          "tolerances": [1e-6]}, "'h' must be int"),
     ],
-    ids=["problem-number", "tolerance-number", "null-cap", "list"],
+    ids=["problem-number", "tolerance-number", "null-cap", "list", "method-number", "h-string"],
 )
 def test_bad_plan_shape_exits_1(tmp_path, capsys, plan_json, message):
     plan = tmp_path / "plan.json"

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import deque
 from pathlib import Path
@@ -481,7 +482,7 @@ class TestAlignedBuffers:
     def test_dot_operands_and_products(self, monkeypatch):
         n = 1000
         p = gen_diag_problem(SpectrumSpec("TP1", n, 1e4, 1))
-        dotted, products, heights = set(), set(), []
+        dotted, outs, heights = set(), [], []
         row_dots, apply = qp_engine._row_dots, QuadraticProblem.apply
 
         def recording_dots(a, b, totals=None):
@@ -490,15 +491,19 @@ class TestAlignedBuffers:
 
         def recording_apply(self, v, out=None):
             w = apply(self, v, out)
-            if out is not None:  # a product inside the block
+            if out is not None:  # the start gradient's product, then the block's
                 heights.append(len(v))
-                products.add(w.ctypes.data)
+                outs.append(w)
             return w
 
         monkeypatch.setattr(qp_engine, "_row_dots", recording_dots)
         monkeypatch.setattr(QuadraticProblem, "apply", recording_apply)
         specs = [StrategySpec(m, h=h, s=s) for m in ("NEWS0", "NEWS") for h in (10, 20) for s in (20, 30, 50, 80, 100)]
         run_many(p, np.ones(n), specs, eps=1e-6, max_iter=200)
+        # the start gradient, one n-vector in a map of its own
+        start = outs.pop(0)
+        assert heights.pop(0) == n and start.shape == (n,) and start.ctypes.data % 64 == 0
+        products = {w.ctypes.data for w in outs}
         # one block of 20 rows, from which rows left as they stopped
         assert heights[0] == 20 > heights[-1]
         starts = dotted | products | {p.hessian.ctypes.data}
@@ -514,7 +519,8 @@ class TestAlignedBuffers:
         taken = record_block_arrays(monkeypatch)
         specs = [StrategySpec(m, h=h, s=s) for m in methods for h in (10, 20) for s in (20, 30, 50, 80, 100)]
         traces = run_many(p, np.ones(n), specs, eps=1e-6, max_iter=200)
-        assert [a.shape for a in taken] == [(20, n)] * 5
+        # after the start gradient's one n-vector
+        assert [a.shape for a in taken] == [(n,)] + [(20, n)] * 5
         assert not any(np.shares_memory(tr.x_final, a) for tr in traces for a in taken)
 
     def test_stencil_products_go_into_one_array(self, monkeypatch):
@@ -527,10 +533,12 @@ class TestAlignedBuffers:
 
         monkeypatch.setattr(QuadraticProblem, "apply", recording_apply)
         trace = run(p, np.zeros(p.dim), StrategySpec("DY"), eps=1e-6)
-        # after the start's gradient, the block's own start product into its
-        # gradient array, then the block's first product and one per step
+        # after the start's gradient, into a map of its own, the block's own
+        # start product into its gradient array, then the block's first
+        # product and one per step
         first, start, *block = outs
-        assert first is None and len(block) == trace.iterations + 1
+        assert first.shape == (p.dim,) and first.ctypes.data % 64 == 0
+        assert first is not start and first is not block[0] and len(block) == trace.iterations + 1
         assert all(w is block[0] for w in block) and block[0].ctypes.data % 64 == 0
         assert start is not block[0] and start.ctypes.data % 64 == 0
 
@@ -719,13 +727,31 @@ class TestOneRowBlocksInTurn:
 
     @pytest.mark.parametrize("method", ["DY", "NEWS"])  # G updated in place; G written back from S
     def test_a_block_takes_three_vectors_and_one_span(self, laplace_b33, monkeypatch, method):
-        # X, G and W, plus a span of scratch; the stopped row's x_final is X
+        # X, G and W, plus a span of scratch, after the start gradient's one
+        # n-vector; the stopped row's x_final is X
         taken = record_block_arrays(monkeypatch)
         n = laplace_b33.dim
         trace = run(laplace_b33, np.zeros(n), StrategySpec(method, h=3, s=2), eps=1e-9, max_iter=10)
         assert trace.iterations == 10
+        start, *taken = taken
+        assert start.size == n and not np.shares_memory(trace.x_final, start)
         assert sorted(a.size for a in taken) == [STEP_CHUNK, n, n, n]
         assert [np.shares_memory(trace.x_final, a) for a in taken] == [True, False, False, False]
+
+    def test_the_heap_holds_no_n_vector(self, laplace_b33):
+        # every n-vector lives in a map of its own, outside the heap that
+        # numpy's allocations are traced in; the start gradient from the
+        # heap took a peak of 1.6 n-vectors here
+        n = laplace_b33.dim
+        x1 = np.zeros(n)
+        tracemalloc.start()
+        try:
+            trace = run(laplace_b33, x1, StrategySpec("DY"), eps=1e-9, max_iter=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.iterations == 5
+        assert peak < 8 * n
 
     def test_traces_are_thread_independent(self):
         # all 13 methods on the one-row Laplacian; digest of every field
