@@ -30,6 +30,7 @@ import numpy as np
 
 from . import box_solver, qp_engine
 from .generators import family_spec, gen_instance, laplace_spec
+from .problem import check_keys
 from .qp_engine import HS_METHODS, StrategySpec
 from .suite import make_suite
 
@@ -63,36 +64,20 @@ _GROUP_FIELDS = ("family", "kappa", "eps", "method", "h", "s")
 SUMMARY_FIELDS = _GROUP_FIELDS + ("mean_iters", "runs", "failures")
 
 
-# The JSON types a strategy entry's keys take; a type is matched exactly,
-# so JSON's true and false are not numbers and 3.0 is not an int.
-_STRATEGY_TYPES = {
-    "method": (str,),
-    "variant": (str,),
-    "h": (int,),
-    "s": (int,),
-    "abb_window": (int,),
-    "M": (int,),
-    "tau": (int, float),
-}
-
-
 @dataclass
 class ExperimentPlan:
     """Validated experiment grid.
 
-    ``problems`` entries are either quadratic descriptors in the format
-    of ``generators.gen_instance`` ({"family", "n", "kappa", "seed" or
-    "seeds", "mode"} with mode one of diag / diag_equiv / dense, or
-    {"kind": "laplace3d", "variant", "N"}) or {"kind": "box_suite"} for
-    the bound-constrained suite. Family and laplace3d entries are checked
-    at load (see ``generators.family_spec`` and ``laplace_spec``); an
-    entry takes only its kind's keys, with ``seed`` an int and ``seeds``
-    a nonempty list of ints.
-    ``strategies`` entries carry only fields of ``qp_engine.StrategySpec``
-    ({"method", "h", "s", ...}) or, for the box solvers, "variant" and "M"
-    (a box run takes the plan's tolerance and cap), each of the JSON type
-    ``_STRATEGY_TYPES`` names; every strategy must suit every problem
-    entry. A plan that breaks a rule raises ``ValueError`` at load.
+    ``problems`` entries are quadratic descriptors of
+    ``generators.gen_instance`` (a family entry {"family", "n", "kappa",
+    "seed" or "seeds", "mode"} or {"kind": "laplace3d", "variant", "N"})
+    or {"kind": "box_suite"} for the bound-constrained suite.
+    ``strategies`` entries set fields of ``qp_engine.StrategySpec`` or, but
+    the tolerance and cap, of ``box_solver.BoxRunConfig``. Each format's
+    owner (``generators.family_spec``, ``laplace_spec``, the dataclasses)
+    checks its keys and types; the plan checks a family entry's ``seed``
+    (an int) or ``seeds`` (a nonempty list of ints), the tolerances, and
+    that every strategy suits every problem, all at load (``ValueError``).
     """
 
     problems: list[dict]
@@ -101,12 +86,9 @@ class ExperimentPlan:
     iter_cap: int = 20000
 
     def __post_init__(self):
-        if not self.problems:
-            raise ValueError("plan has no problems")
-        if not self.strategies:
-            raise ValueError("plan has no strategies")
-        if not self.tolerances:
-            raise ValueError("plan has no tolerances")
+        for key in ("problems", "strategies", "tolerances"):
+            if not getattr(self, key):
+                raise ValueError(f"plan has no {key}")
         if self.iter_cap < 1:
             raise ValueError("iter_cap must be positive")
         for s in self.strategies:
@@ -116,33 +98,23 @@ class ExperimentPlan:
                 spec, fixed = box_solver.BoxRunConfig, {"eps_pg", "max_iter"}
             else:
                 raise ValueError(f"strategy entry needs 'method' or 'variant': {s!r}")
-            keys = {f.name for f in fields(spec)} - fixed
-            if unknown := sorted(s.keys() - keys):
-                raise ValueError(f"strategy entry {s!r} sets {unknown}; it takes only {sorted(keys)}")
-            for key, value in s.items():
-                if type(value) not in _STRATEGY_TYPES[key]:
-                    names = " or ".join(t.__name__ for t in _STRATEGY_TYPES[key])
-                    raise ValueError(f"strategy entry {s!r}: {key!r} must be {names}")
+            check_keys(f"strategy entry {s!r}", s, {f.name for f in fields(spec)} - fixed)
             spec(**s)
         for p in self.problems:
             if "family" in p:
+                # the plan reads 'seed' or 'seeds' itself, as its jobs' seeds
+                if "seed" in p and type(p["seed"]) is not int:
+                    raise ValueError(f"problem entry {p!r}: 'seed' must be an int")
+                seeds = p.get("seeds", [0])
+                if not (isinstance(seeds, list) and seeds and all(type(seed) is int for seed in seeds)):
+                    raise ValueError(f"problem entry {p!r}: 'seeds' must be a nonempty list of ints")
                 family_spec(p, seed=0)
-                keys = {"family", "n", "kappa", "seed", "seeds", "mode"}
             elif p.get("kind") == "laplace3d":
                 laplace_spec(p)
-                keys = {"kind", "variant", "N"}
             elif p.get("kind") == "box_suite":
-                keys = {"kind"}
+                check_keys(f"problem entry {p!r}", p, {"kind"})
             else:
                 raise ValueError(f"problem entry needs 'family' or a known 'kind': {p!r}")
-            if unknown := sorted(p.keys() - keys):
-                raise ValueError(f"problem entry {p!r} sets {unknown}; it takes only {sorted(keys)}")
-            # type(True) is bool, so JSON's true and false are not seeds
-            if "seed" in p and type(p["seed"]) is not int:
-                raise ValueError(f"problem entry {p!r}: 'seed' must be an int")
-            seeds = p.get("seeds", [0])
-            if not (isinstance(seeds, list) and seeds and all(type(seed) is int for seed in seeds)):
-                raise ValueError(f"problem entry {p!r}: 'seeds' must be a nonempty list of ints")
         box = [p.get("kind") == "box_suite" for p in self.problems]
         if any(box) and any("variant" not in s for s in self.strategies):
             raise ValueError("box_suite problems need box-solver strategies")
@@ -159,11 +131,11 @@ class ExperimentPlan:
     def from_json(desc: dict) -> "ExperimentPlan":
         """The plan of a JSON object: ``problems`` and ``strategies`` lists
         of objects, ``tolerances`` a list of numbers and ``iter_cap`` (20000
-        if absent) an int; JSON's true and false are neither."""
+        if absent) an int, and no other key; JSON's true and false are neither."""
         if not isinstance(desc, dict):
             raise ValueError(f"a plan must be a JSON object, not {type(desc).__name__}")
-        if missing := sorted({"problems", "strategies", "tolerances"} - desc.keys()):
-            raise ValueError(f"plan is missing required key(s) {missing}")
+        required = {"problems", "strategies", "tolerances"}
+        check_keys("plan", desc, required | {"iter_cap"}, required)
         for key in ("problems", "strategies"):
             if not (isinstance(desc[key], list) and all(isinstance(e, dict) for e in desc[key])):
                 raise ValueError(f"plan key '{key}' must be a list of objects")

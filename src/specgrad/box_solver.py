@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .problem import BoxBounds, ObjectiveOracle
+from .problem import BoxBounds, ObjectiveOracle, check_field_types
 from .qp_engine import RunTrace, TraceRecorder
 from .stepsize import StepsizeMemory, StepsizeUndefinedError, bar_alpha_general, p_stepsize
 
@@ -159,6 +159,7 @@ class BoxRunConfig:
     max_iter: int = 20000
 
     def __post_init__(self):
+        check_field_types(self)
         if self.M < 1:
             raise ValueError("M must be positive")
         if not 0.0 <= self.eps_pg < math.inf:

@@ -23,11 +23,11 @@ labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import QuadraticProblem, aligned_empty
+from .problem import QuadraticProblem, aligned_empty, check_field_types, check_keys
 
 __all__ = [
     "SpectrumSpec",
@@ -80,6 +80,7 @@ class SpectrumSpec:
     seed: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
         if self.n < 3:
@@ -96,6 +97,7 @@ class LaplaceSpec:
     N: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.variant not in ("A", "B"):
             raise ValueError("variant must be 'A' or 'B'")
         if self.N < 2:
@@ -232,31 +234,30 @@ def laplace_eigen_bounds(N: int) -> tuple[float, float]:
 
 def family_spec(desc: dict, seed: int | None = None) -> SpectrumSpec:
     """Spectrum recipe of a family descriptor {"family", "n", "kappa",
-    "seed", "mode"}; ``seed`` overrides the descriptor's.
+    "seed", "mode"}; ``seed`` overrides the descriptor's (checked all the
+    same), which may then be a plan entry with a ``seeds`` list.
 
     ``kappa`` defaults to ``n`` and ``seed`` to 0. A missing ``family`` or
-    ``n``, an unknown ``mode``, or a ``kind`` key (the problem form of a
-    family descriptor is its ``mode``), raises ``ValueError``.
+    ``n``, any other key (``kind`` among them: a family descriptor's
+    problem form is its ``mode``), an unknown ``mode``, or a value of a
+    type ``SpectrumSpec`` refuses raises ``ValueError``.
     """
-    if missing := sorted({"family", "n"} - desc.keys()):
-        raise ValueError(f"problem descriptor lacks required key(s) {missing}: {desc!r}")
     if "kind" in desc:
         raise ValueError(f"a family descriptor takes 'mode' (one of {_MODES}), not 'kind': {desc!r}")
+    keys = {"family", "n", "kappa", "seed", "mode"} | (set() if seed is None else {"seeds"})
+    check_keys(f"problem descriptor {desc!r}", desc, keys, {"family", "n"})
     if desc.get("mode", "diag") not in _MODES:
         raise ValueError(f"unknown problem mode {desc['mode']!r}; expected one of {_MODES}")
-    return SpectrumSpec(
-        family=desc["family"],
-        n=int(desc["n"]),
-        kappa=float(desc.get("kappa", desc["n"])),
-        seed=int(desc.get("seed", 0) if seed is None else seed),
-    )
+    spec = SpectrumSpec(desc["family"], desc["n"], desc.get("kappa", desc["n"]), desc.get("seed", 0))
+    return spec if seed is None else replace(spec, seed=seed)
 
 
 def laplace_spec(desc: dict) -> LaplaceSpec:
-    """Laplacian recipe of a {"kind": "laplace3d", "variant", "N"} descriptor."""
-    if missing := sorted({"variant", "N"} - desc.keys()):
-        raise ValueError(f"problem descriptor lacks required key(s) {missing}: {desc!r}")
-    return LaplaceSpec(variant=desc["variant"], N=int(desc["N"]))
+    """Laplacian recipe of a {"kind": "laplace3d", "variant", "N"}
+    descriptor; a missing or any other key, or a value whose type
+    ``LaplaceSpec`` refuses, raises ``ValueError``."""
+    check_keys(f"problem descriptor {desc!r}", desc, {"kind", "variant", "N"}, {"variant", "N"})
+    return LaplaceSpec(desc["variant"], desc["N"])
 
 
 def gen_instance(desc: dict, seed: int | None = None) -> tuple[QuadraticProblem, np.ndarray, dict]:

@@ -11,7 +11,9 @@ Box constraints are per-coordinate intervals, possibly unbounded (IEEE
 
 from __future__ import annotations
 
+import dataclasses
 import mmap
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -20,8 +22,10 @@ __all__ = ["QuadraticProblem", "BoxBounds", "ObjectiveOracle"]
 
 _F64 = np.dtype(np.float64)
 
-# the array keys each explicit problem kind requires (see from_json)
+# the array keys each explicit problem kind requires (see from_json), and
+# the values each annotated dataclass field type takes (see check_field_types)
 _ARRAY_KEYS = {"diag": {"eigenvalues"}, "dense": {"matrix"}, "sparse": {"n", "rows", "cols", "vals"}}
+_FIELD_TYPES = {"str": (str, "str"), "int": (numbers.Integral, "int"), "float": (numbers.Real, "int or float")}
 
 # A stencil product (see ``QuadraticProblem._stencil``) walks the grid in
 # slabs of max(1, STENCIL_SLAB // N^2) whole z-planes, so that each slab
@@ -33,6 +37,29 @@ _ARRAY_KEYS = {"diag": {"eigenvalues"}, "dense": {"matrix"}, "sparse": {"n", "ro
 #   N = 100         7.16  6.83  5.34  5.23  5.26  7.03  9.45       | 13.05
 # Slabs of 32k to 64k elements lie within 5% of each other on repeats.
 STENCIL_SLAB = 2**15
+
+
+def check_keys(what: str, desc: dict, keys: set, required: set = frozenset()) -> None:
+    """Refuse, with a ``ValueError`` naming the keys, a JSON object ``desc``
+    (named ``what`` in the message) that lacks a ``required`` key or sets
+    one outside ``keys``."""
+    if missing := sorted(required - desc.keys()):
+        raise ValueError(f"{what} lacks required key(s) {missing}")
+    if unknown := sorted(desc.keys() - keys):
+        raise ValueError(f"{what} sets {unknown}; it takes only {sorted(keys)}")
+
+
+def check_field_types(obj) -> None:
+    """Refuse, with a ``ValueError`` naming the field, a field of the
+    dataclass ``obj`` whose value is not of its annotated type: str, int
+    (not a bool) or float (an int or a float, stored as a float)."""
+    for f in dataclasses.fields(obj):
+        kind, name = _FIELD_TYPES[f.type]
+        value = getattr(obj, f.name)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{type(obj).__name__} field {f.name!r} must be {name}, not {value!r}")
+        if f.type == "float":
+            object.__setattr__(obj, f.name, float(value))
 
 
 def aligned_empty(shape) -> np.ndarray:
@@ -278,19 +305,18 @@ class QuadraticProblem:
 
         Accepted kinds, with their required keys: ``diag`` (``eigenvalues``),
         ``dense`` (``matrix``) and ``sparse`` (``n``, ``rows``, ``cols``,
-        ``vals``, a COO listing). A missing key, or an array whose shape
-        does not fit the kind (``eigenvalues`` 1-D, ``matrix`` square
-        2-D), raises ``ValueError``. The
-        linear term ``b`` may be an explicit array or
-        ``{"kind": "random", "seed": ..., "range": [lo, hi]}``.
+        ``vals``, a COO listing, ``n`` an int); each also takes ``b``. A
+        missing or unknown key, or an array whose shape does not fit the
+        kind (``eigenvalues`` 1-D, ``matrix`` square 2-D), raises
+        ``ValueError``. The linear term ``b`` may be an explicit array or
+        ``{"kind": "random", "seed": int, "range": [lo, hi]}``.
         Generated problems (families, the Laplacian) are described to
         ``generators.gen_instance``, which hands other descriptors here.
         """
         kind = desc.get("kind")
         if not isinstance(kind, str) or kind not in _ARRAY_KEYS:
             raise ValueError(f"unknown problem kind: {kind!r}")
-        if missing := sorted(_ARRAY_KEYS[kind] - desc.keys()):
-            raise ValueError(f"{kind} problem descriptor lacks required key(s) {missing}")
+        check_keys(f"{kind} problem descriptor", desc, _ARRAY_KEYS[kind] | {"kind", "b"}, _ARRAY_KEYS[kind])
         if kind != "sparse":
             key, ndim = ("eigenvalues", 1) if kind == "diag" else ("matrix", 2)
             h = np.asarray(desc[key], dtype=np.float64)
@@ -298,7 +324,9 @@ class QuadraticProblem:
                 raise ValueError(f"{kind} problem {key!r} must be a {ndim}-D array, not shape {h.shape}")
         else:
             import scipy.sparse as sp
-            n = int(desc["n"])
+            n = desc["n"]
+            if type(n) is not int:
+                raise ValueError(f"sparse problem 'n' must be an int, not {n!r}")
             h = sp.coo_matrix((desc["vals"], (desc["rows"], desc["cols"])), shape=(n, n)).tocsr()
         n = h.shape[0]
         b = _resolve_b(desc.get("b"), n)
@@ -332,8 +360,14 @@ def _resolve_b(spec, n: int) -> np.ndarray | None:
     if isinstance(spec, dict):
         if spec.get("kind") != "random":
             raise ValueError(f"unknown linear-term spec: {spec!r}")
-        lo, hi = spec.get("range", (-10.0, 10.0))
-        rng = np.random.default_rng(int(spec["seed"]))
+        check_keys(f"linear-term spec {spec!r}", spec, {"kind", "seed", "range"}, {"seed"})
+        if type(spec["seed"]) is not int:
+            raise ValueError(f"linear-term spec {spec!r}: 'seed' must be an int")
+        bounds = spec.get("range", [-10.0, 10.0])
+        if not (isinstance(bounds, list) and len(bounds) == 2 and all(type(v) in (int, float) for v in bounds)):
+            raise ValueError(f"linear-term spec {spec!r}: 'range' must be a list of two numbers")
+        lo, hi = bounds
+        rng = np.random.default_rng(spec["seed"])
         return lo + (hi - lo) * rng.random(n)
     return np.asarray(spec, dtype=np.float64)
 

@@ -94,7 +94,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .problem import QuadraticProblem, aligned_empty
+from .problem import QuadraticProblem, aligned_empty, check_field_types
 from .stepsize import StepsizeUndefinedError, bar_alpha_direct, hat_alpha_direct, yuan_stepsize
 
 __all__ = [
@@ -250,6 +250,7 @@ class StrategySpec:
     abb_window: int = 2
 
     def __post_init__(self):
+        check_field_types(self)
         m = self.method.upper()
         if m not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
@@ -318,18 +319,8 @@ class RunTrace:
             writer = csv.writer(fh)
             writer.writerow(["k", "f", "gnorm", "alpha", "branch"])
             for i in range(len(self.f)):
-                if i < self.iterations:
-                    writer.writerow(
-                        [
-                            i + 1,
-                            repr(float(self.f[i])),
-                            repr(float(self.gnorm[i])),
-                            repr(float(self.alpha[i])),
-                            self.branch[i],
-                        ]
-                    )
-                else:
-                    writer.writerow([i + 1, repr(float(self.f[i])), repr(float(self.gnorm[i])), "", ""])
+                step = [repr(float(self.alpha[i])), self.branch[i]] if i < self.iterations else ["", ""]
+                writer.writerow([i + 1, repr(float(self.f[i])), repr(float(self.gnorm[i])), *step])
 
 
 class TraceRecorder:

@@ -1,12 +1,17 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from specgrad import bench
 from specgrad.bench import ExperimentPlan
 
 PLAN_DIR = os.path.join(os.path.dirname(__file__), "..", "plans")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def load(name):
@@ -92,3 +97,36 @@ def test_only_a_sparse_problem_loads_scipy_sparse():
         [sys.executable, "-c", COLD_START, PLAN_DIR], env=env, capture_output=True, text=True, timeout=300
     )
     assert out.returncode == 0, out.stderr
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench's workload module, read from its directory and left as it is."""
+    perfbench = str(ROOT / "perfbench")
+    sys.path.insert(0, perfbench)  # for its own ``spans`` import
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(perfbench)
+    return module
+
+
+def test_laplace60_strategies_each_match_one_table5_strategy(workloads):
+    # laplace60 keeps the table5 strategies equal to one of these, so an
+    # edit to a table5 entry would shrink the workload, not fail it
+    table5 = json.loads((ROOT / "plans" / "table5.json").read_text())["strategies"]
+    for strategy in workloads.LAPLACE_STRATEGIES:
+        assert table5.count(strategy) == 1, strategy
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("workload, cells", [("table1-diag", 600), ("laplace60", 8), ("box-profiles", 48)])
+def test_perfbench_plans_load(workloads, workload, cells, smoke):
+    desc = workloads.plan_desc(ROOT, workload, 0, smoke=smoke)
+    plan = ExperimentPlan.from_json(desc)
+    planned = len(bench._plan_jobs(plan)) * len(plan.strategies) * len(plan.tolerances)
+    assert workloads.expected_cells(desc) == planned
+    if not smoke:
+        assert planned == cells

@@ -379,6 +379,37 @@ class TestJsonRoundTrip:
         p = QuadraticProblem(np.array([1.0, 3.0]), np.array([0.5, -0.5]))
         json.dumps(problem_to_json(p))
 
+    @pytest.mark.parametrize(
+        "b, key",
+        [
+            ({"kind": "random"}, "'seed'"),
+            ({"kind": "random", "seed": 1.9}, "'seed'"),
+            ({"kind": "random", "seed": True}, "'seed'"),
+            ({"kind": "random", "seed": 1, "range": [5]}, "'range'"),
+            ({"kind": "random", "seed": 1, "range": "5"}, "'range'"),
+            ({"kind": "random", "seed": 1, "range": [0, "1"]}, "'range'"),
+            ({"kind": "random", "seed": 1, "rnage": [0, 1]}, "'rnage'"),
+        ],
+        ids=["no-seed", "seed-float", "seed-bool", "range-short", "range-str", "range-entry-str", "misspelt-range"],
+    )
+    def test_random_b_spec_is_checked(self, b, key):
+        # a ValueError naming the key: not a KeyError, an unpacking error or a silent default
+        with pytest.raises(ValueError, match=key):
+            QuadraticProblem.from_json({"kind": "diag", "eigenvalues": [1.0, 2.0], "b": b})
+
+    @pytest.mark.parametrize(
+        "desc, key",
+        [
+            ({"kind": "dense", "matrix": [[1.0]], "eigenvalues": [1.0]}, "'eigenvalues'"),
+            ({"kind": "sparse", "n": 2.0, "rows": [0, 1], "cols": [0, 1], "vals": [1.0, 1.0]}, "'n'"),
+            ({"kind": "sparse", "n": True, "rows": [0], "cols": [0], "vals": [1.0]}, "'n'"),
+        ],
+        ids=["key-of-another-kind", "sparse-n-float", "sparse-n-bool"],
+    )
+    def test_explicit_descriptor_keys_and_n(self, desc, key):
+        with pytest.raises(ValueError, match=key):
+            QuadraticProblem.from_json(desc)
+
 
 class TestObjectiveOracle:
     def test_counters(self):
