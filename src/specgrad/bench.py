@@ -76,8 +76,9 @@ class ExperimentPlan:
     the tolerance and cap, of ``box_solver.BoxRunConfig``. Each format's
     owner (``generators.family_spec``, ``laplace_spec``, the dataclasses)
     checks its keys and types; the plan checks a family entry's ``seed``
-    (an int) or ``seeds`` (a nonempty list of ints), the tolerances, and
-    that every strategy suits every problem, all at load (``ValueError``).
+    (an int) or ``seeds`` (a nonempty list of ints), never both, the
+    tolerances, and that every strategy suits every problem, all at load
+    (``ValueError``).
     """
 
     problems: list[dict]
@@ -103,6 +104,8 @@ class ExperimentPlan:
         for p in self.problems:
             if "family" in p:
                 # the plan reads 'seed' or 'seeds' itself, as its jobs' seeds
+                if "seed" in p and "seeds" in p:
+                    raise ValueError(f"problem entry {p!r} sets both 'seed' and 'seeds'; it takes one")
                 if "seed" in p and type(p["seed"]) is not int:
                     raise ValueError(f"problem entry {p!r}: 'seed' must be an int")
                 seeds = p.get("seeds", [0])

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .problem import BoxBounds, ObjectiveOracle, check_field_types
+from .problem import BoxBounds, ObjectiveOracle, check_field_types, dot
 from .qp_engine import RunTrace, TraceRecorder
 from .stepsize import StepsizeMemory, StepsizeUndefinedError, bar_alpha_general, p_stepsize
 
@@ -188,9 +188,9 @@ def _initial_alpha(norm: float) -> float:
 def _bb1(mem, short, alpha, s, g, g_new, rec) -> tuple[float, str]:
     """SPG's rule: the safeguarded BB1 stepsize s's/s'y (``bb``), or
     ALPHA_MAX when s'y <= 0 (``sy_nonpos``)."""
-    sty = float(s.dot(g_new - g))
+    sty = dot(s, g_new - g)
     if sty > 0.0:
-        return _safeguard(float(s.dot(s)) / sty), "bb"
+        return _safeguard(dot(s, s) / sty), "bb"
     return ALPHA_MAX, "sy_nonpos"
 
 
@@ -202,7 +202,7 @@ def _long_short(long, mem, short, alpha, s, g, g_new, rec) -> tuple[float, str]:
     (``short_min``, recorded as ``spectral``), else BB2 (``short_bb2``)."""
     mem.push(g_new, s, alpha_used=alpha)
     rec["spectral"] = None
-    if not float(s.dot(mem.y_prev)) > 0.0:
+    if not dot(s, mem.y_prev) > 0.0:
         return (1.0 / mem.gnorm_cur if mem.gnorm_cur > 0.0 else 1.0), "sy_nonpos"
     long_next = long(mem)
     if not short:
@@ -253,13 +253,17 @@ def solve_box(
     nonfinite objective or gradient norm at the start or at an accepted
     step, ``line_search_failed`` when the arc yields no descent direction
     or no step is accepted after ``MAX_BACKTRACKS`` backtracks. The
-    evaluation counts include the failed search.
+    evaluation counts include the failed search. An ``x1`` whose shape is
+    not (n,), n = ``bounds.dim``, raises ``ValueError``.
     """
     row = _VARIANTS[cfg.variant]
-    x = bounds.project(np.asarray(x1, dtype=np.float64))
+    x = np.asarray(x1, dtype=np.float64)
+    if x.shape != (bounds.dim,):
+        raise ValueError(f"x1 has shape {x.shape}, expected ({bounds.dim},)")
+    x = bounds.project(x)
     g = oracle.grad(x)
     fx = oracle.f(x)
-    gnorm = math.sqrt(g.dot(g))
+    gnorm = math.sqrt(dot(g, g))
     pg = _pg_norm(x, g, bounds)
     trace = TraceRecorder(fx, gnorm, cfg.eps_pg, cfg.max_iter, pg=pg)
     records: list[dict] = []
@@ -287,11 +291,11 @@ def solve_box(
     k = 1
     while not trace.stop(pg):
         d = direction(x, g, alpha, bounds)
-        gd = float(g.dot(d))
+        gd = dot(g, d)
         if gd >= 0.0 and row.retry:
             alpha = _initial_alpha(gnorm)
             d = direction(x, g, alpha, bounds)
-            gd = float(g.dot(d))
+            gd = dot(g, d)
         if gd >= 0.0:
             return finish("line_search_failed", "projection arc yields no descent direction")
 
@@ -303,7 +307,7 @@ def solve_box(
             return finish("diverged", f"nonfinite objective at iteration {k}")
 
         g_new = oracle.grad(x_new)
-        gnorm = math.sqrt(g_new.dot(g_new))
+        gnorm = math.sqrt(dot(g_new, g_new))
         if not math.isfinite(gnorm):
             return finish("diverged", f"nonfinite gradient norm at iteration {k}")
         rec = {"k": k, "alpha": alpha, "gd": gd, "f_r": ls.f_r, "f_max": ls.f_max, "sigma": SIGMA,

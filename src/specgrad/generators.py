@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import QuadraticProblem, aligned_empty, check_field_types, check_keys
+from .problem import QuadraticProblem, aligned_empty, check_field_types, check_keys, dot
 
 __all__ = [
     "SpectrumSpec",
@@ -147,17 +147,14 @@ def gen_diag_problem(spec: SpectrumSpec) -> QuadraticProblem:
 
 
 def _draw_reflectors(n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    ws = []
-    for _ in range(3):
-        w = rng.standard_normal(n)
-        ws.append(w / np.linalg.norm(w))
-    return ws
+    ws = [rng.standard_normal(n) for _ in range(3)]
+    return [w / math.sqrt(dot(w, w)) for w in ws]
 
 
 def _apply_rotation_t(ws: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     # Q = H3 H2 H1, so Q^T x applies the reflectors in build order reversed.
     for w in reversed(ws):
-        x = x - 2.0 * (w @ x) * w
+        x = x - 2.0 * dot(w, x) * w
     return x
 
 

@@ -12,12 +12,10 @@ quadratic identity f(x - alpha g) = f(x) - alpha ||g||^2 + alpha^2/2 g'Ag.
 
 A row's trace is bitwise equal to its strategy run alone, because every
 row takes the same floating-point operations as a lone vector:
-- each row's inner products go through the BLAS dot that a 1-D
-  ``a @ b`` calls (a stacked ``matmul`` of (1, n) by (n, 1) slices takes
-  numpy's vector-dot path); vectors longer than ``DOT_CHUNK`` are dotted
-  chunk by chunk (see ``_dot``), so no dot is long enough for the BLAS to
-  split it across its own threads and a trace does not depend on the
-  BLAS thread count;
+- each row's inner products are ``problem.row_dots``, whose every row is
+  ``problem.dot`` of that row alone; the package sums long dots in
+  chunks (see ``dot``), so a trace does not depend on the BLAS thread
+  count;
 - the block updates and a diagonal Hessian product act per element,
   and a dense, sparse or stencil Hessian product is taken one row at a
   time, since a (B, n) @ A' product sums in another order;
@@ -42,10 +40,9 @@ from memory once per pass and dotted while it is still in L2. Spans of
 32k elements beat 16k and 64k ones: a step's vector work at n = 216,000
 took 0.72 ms against 0.78 and 0.77 ms, and 1.12 ms on whole vectors
 (the measurement is at ``STEP_CHUNK``). A span is a whole number of
-``DOT_CHUNK`` chunks, so each dot is the sum of the same chunk dots, in
-the same order, as when it is taken whole. A block of several rows,
-whose rows are at most ``BLOCK_ELEMENTS // 2`` long, takes its arrays
-whole, as one span.
+``DOT_CHUNK`` chunks, so its dots sum to the whole dot (see ``dot``). A
+block of several rows, whose rows are at most ``BLOCK_ELEMENTS // 2``
+long, takes its arrays whole, as one span.
 
 Buffers: a block takes its working arrays once, each from
 ``problem.aligned_empty`` (whose docstring holds the measured reason):
@@ -94,7 +91,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .problem import QuadraticProblem, aligned_empty, check_field_types
+from .problem import DOT_CHUNK, QuadraticProblem, aligned_empty, check_field_types, dot, row_dots
 from .stepsize import StepsizeUndefinedError, bar_alpha_direct, hat_alpha_direct, yuan_stepsize
 
 __all__ = [
@@ -111,12 +108,6 @@ __all__ = [
 # and one row, a plain vector, from n = 32769 on, so a large problem's
 # memory and work per iteration are those of a single run.
 BLOCK_ELEMENTS = 2**16
-
-# Inner products of longer vectors are summed chunk by chunk, left to
-# right. A BLAS dot of at most this many elements runs on one thread
-# (OpenBLAS splits a dot only above about 10^4 elements), so the chunked
-# sum is the same under any BLAS thread count.
-DOT_CHUNK = 8192
 
 # A one-row block steps span by span (see the module docstring). A span
 # of this many elements of X, G, W and S takes 1 MB of the 2 MB L2 per
@@ -384,40 +375,6 @@ def _bar_alpha_cached(c: _Row, cross_gg: float, cross_wg: float) -> float | None
     return dd / dad
 
 
-def _dot(a: np.ndarray, b: np.ndarray, total: float | None = None) -> float:
-    """a'b for two vectors as a Python float: ``a.dot(b)`` below
-    ``DOT_CHUNK`` elements; from there the sum, left to right, of the
-    dots of consecutive ``DOT_CHUNK``-element chunks (the rows of one
-    stacked ``matmul``) and of the shorter tail, so the result does not
-    depend on the BLAS thread count. Given ``total``, the sum goes on
-    from it: the dots of column spans that are whole numbers of chunks,
-    each taken with the last one's result, sum to the dot taken whole."""
-    n = a.shape[0]
-    m = n - n % DOT_CHUNK
-    if m:
-        parts = np.matmul(a[:m].reshape(-1, 1, DOT_CHUNK), b[:m].reshape(-1, DOT_CHUNK, 1)).ravel().tolist()
-        if m < n:
-            parts.append(float(a[m:].dot(b[m:])))
-    else:
-        parts = (float(a.dot(b)),)
-    for part in parts:
-        total = part if total is None else total + part
-    return total
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray, totals: list[float] | None = None) -> list[float]:
-    """``_dot`` of every row pair of two (B, n) blocks, as Python floats; a
-    one-row block is a vector, whose dot goes on from ``totals[0]`` when
-    ``totals`` is given (a span's dot, see ``_dot``). Up to ``DOT_CHUNK``
-    elements a block takes one stacked ``matmul``, whose rows are the
-    BLAS dot of a 1-D ``a_i @ b_i``."""
-    if a.ndim == 1:
-        return [_dot(a, b, None if totals is None else totals[0])]
-    if a.shape[1] > DOT_CHUNK:
-        return [_dot(u, v) for u, v in zip(a, b)]
-    return np.matmul(a[:, None, :], b[:, :, None]).ravel().tolist()
-
-
 def run_many(
     p: QuadraticProblem,
     x1: np.ndarray,
@@ -480,8 +437,8 @@ def each_trace(
     # p.gradient(x) in a map of its own (see the module docstring's Streaming)
     g = p.apply(x, out=aligned_empty(p.dim))
     np.subtract(g, p.b, out=g)
-    gnorm1 = math.sqrt(_dot(g, g))
-    f1 = 0.5 * _dot(x, g) - 0.5 * _dot(p.b, x)
+    gnorm1 = math.sqrt(dot(g, g))
+    f1 = 0.5 * dot(x, g) - 0.5 * dot(p.b, x)
     tol = eps * gnorm1
     failure = None
     if not (math.isfinite(gnorm1) and math.isfinite(f1)):
@@ -531,7 +488,7 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
         GG = GW = WW = None
         for s in spans:
             Gs, Ws = G[..., s], W[..., s]
-            GG, GW, WW = _row_dots(Gs, Gs, GG), _row_dots(Gs, Ws, GW), _row_dots(Ws, Ws, WW)
+            GG, GW, WW = row_dots(Gs, Gs, GG), row_dots(Gs, Ws, GW), row_dots(Ws, Ws, WW)
 
         done = []
         for i, r in enumerate(live):
@@ -614,7 +571,7 @@ def _run_block(p, x, live, tol, max_iter) -> Iterator[tuple[int, RunTrace]]:
             Ns = Ss if lagged else Gs
             np.subtract(Gs, np.multiply(A, Ws, out=Ss), out=Ns)
             if lagged:
-                CGG, CWG = _row_dots(Gs, Ns, CGG), _row_dots(Ws, Ns, CWG)
+                CGG, CWG = row_dots(Gs, Ns, CGG), row_dots(Ws, Ns, CWG)
                 if len(spans) > 1:
                     np.copyto(Gs, Ns)
         if lagged and len(spans) == 1:
@@ -651,13 +608,11 @@ def stepsize_history_diagnostic(
     out = []
     for k in range(2, len(trace.gradients) + 1):
         g_prev, g_cur = trace.gradients[k - 2], trace.gradients[k - 1]
-        try:
-            bar = bar_alpha_direct(g_prev, g_cur, p)
-        except StepsizeUndefinedError:
-            bar = math.nan
-        try:
-            hat = hat_alpha_direct(g_prev, g_cur, p)
-        except StepsizeUndefinedError:
-            hat = math.nan
-        out.append((k, bar, hat))
+        pair = []
+        for quotient in (bar_alpha_direct, hat_alpha_direct):
+            try:
+                pair.append(quotient(g_prev, g_cur, p))
+            except StepsizeUndefinedError:
+                pair.append(math.nan)
+        out.append((k, *pair))
     return out

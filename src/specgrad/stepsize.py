@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import QuadraticProblem
+from .problem import QuadraticProblem, dot
 
 __all__ = [
     "StepsizeUndefinedError",
@@ -80,7 +80,7 @@ class StepsizeMemory:
     def start(self, g1: np.ndarray) -> None:
         """Record the first gradient; memory stays cold until the next push."""
         self.g_cur = np.asarray(g1, dtype=np.float64)
-        self.gnorm_cur = math.sqrt(self.g_cur.dot(self.g_cur))
+        self.gnorm_cur = math.sqrt(dot(self.g_cur, self.g_cur))
 
     def push(self, g_new: np.ndarray, s_new: np.ndarray, alpha_used: float) -> None:
         """Advance by one iterate: shift the window and ingest g_k, s_{k-1}.
@@ -101,13 +101,13 @@ class StepsizeMemory:
         self.barbb2_prev = self.barbb2_cur
 
         self.g_cur = g_new
-        self.gnorm_cur = math.sqrt(g_new.dot(g_new))
+        self.gnorm_cur = math.sqrt(dot(g_new, g_new))
         self.y_prev = g_new - self.g_prev
         ybar = modified_y(s_new, self.y_prev)
 
-        sty = float(s_new.dot(ybar))
-        self.ss_prev = float(s_new.dot(s_new))
-        self.ybar_sq_prev = yty = float(ybar.dot(ybar))
+        sty = dot(s_new, ybar)
+        self.ss_prev = dot(s_new, s_new)
+        self.ybar_sq_prev = yty = dot(ybar, ybar)
         self.barbb1_cur = self.ss_prev / sty if sty != 0.0 else None
         self.barbb2_cur = sty / yty if yty != 0.0 else None
 
@@ -126,11 +126,16 @@ def yuan_stepsize(sd_prev: float, sd_cur: float, gnorm_prev: float, gnorm_cur: f
     return 2.0 / (root + a + c)
 
 
-def _quotient_over(d: np.ndarray, p: QuadraticProblem) -> float:
-    dd = float(d @ d)
+def _quotient_over(g_prev: np.ndarray, g_cur: np.ndarray, p: QuadraticProblem, combine) -> float:
+    """d'd / d'Ad for d = combine(g_prev/||g_prev||, g_cur/||g_cur||)."""
+    n_prev, n_cur = math.sqrt(dot(g_prev, g_prev)), math.sqrt(dot(g_cur, g_cur))
+    if n_prev == 0.0 or n_cur == 0.0:
+        raise StepsizeUndefinedError("zero gradient")
+    d = combine(g_prev / n_prev, g_cur / n_cur)
+    dd = dot(d, d)
     if dd == 0.0:
         raise StepsizeUndefinedError("degenerate direction: normalized gradients cancel")
-    dAd = float(d @ p.apply(d))
+    dAd = dot(d, p.apply(d))
     if dAd == 0.0:
         raise StepsizeUndefinedError("degenerate curvature: d'Ad = 0")
     return dd / dAd
@@ -143,20 +148,12 @@ def bar_alpha_direct(g_prev: np.ndarray, g_cur: np.ndarray, p: QuadraticProblem)
     lies in [1/lambda_max, 1/lambda_min] for SPD A and tracks the inverse
     of the largest eigenvalue along norm-quotient trajectories.
     """
-    np_prev = float(np.linalg.norm(g_prev))
-    np_cur = float(np.linalg.norm(g_cur))
-    if np_prev == 0.0 or np_cur == 0.0:
-        raise StepsizeUndefinedError("zero gradient")
-    return _quotient_over(g_prev / np_prev - g_cur / np_cur, p)
+    return _quotient_over(g_prev, g_cur, p, np.subtract)
 
 
 def hat_alpha_direct(g_prev: np.ndarray, g_cur: np.ndarray, p: QuadraticProblem) -> float:
     """Companion quotient over the normalized-gradient sum (diagnostic only)."""
-    np_prev = float(np.linalg.norm(g_prev))
-    np_cur = float(np.linalg.norm(g_cur))
-    if np_prev == 0.0 or np_cur == 0.0:
-        raise StepsizeUndefinedError("zero gradient")
-    return _quotient_over(g_prev / np_prev + g_cur / np_cur, p)
+    return _quotient_over(g_prev, g_cur, p, np.add)
 
 
 def modified_y(s: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .generators import SpectrumSpec, gen_diag_problem, gen_rotated_problem
-from .problem import BoxBounds, ObjectiveOracle, QuadraticProblem
+from .problem import BoxBounds, ObjectiveOracle, QuadraticProblem, dot
 
 __all__ = [
     "BoundedProblem",
@@ -65,7 +65,7 @@ def trigonometric_fg(n: int):
 
     def f(x):
         r = residuals(x)[0]
-        return float(r.dot(r))
+        return dot(r, r)
 
     def grad(x):
         r, cos, sin = residuals(x)

@@ -8,7 +8,10 @@ strategies in blocks of twenty rows), run as ``bench.run_plan`` runs it:
 one ``run_many`` call per instance, at the plan's smallest tolerance and
 cap. It also covers Laplace A and B at N = 33 (n = 35,937, so every block
 is one row) under the four strategies of perfbench's ``laplace60``
-workload, at its tolerance of 1e-6. For each trajectory it holds the
+workload, at its tolerance of 1e-6, and the first seed of each of
+``plans/table3.json``'s fifteen descriptors (the ``diag_equiv`` twins of
+the rotated problems, whose start and linear term pass through the
+Householder reflectors) under DY at 1e-6. For each trajectory it holds the
 iteration count, the termination and a sha256 over the f, gnorm and alpha
 columns and ``x_final`` (their float64 bytes) and the branch labels. A
 change that keeps the record keeps every bit of these trajectories.
@@ -28,7 +31,7 @@ from specgrad import qp_engine
 from specgrad.generators import gen_instance
 from specgrad.qp_engine import StrategySpec
 
-TABLE1 = Path(__file__).resolve().parent.parent / "plans" / "table1.json"
+PLANS = Path(__file__).resolve().parent.parent / "plans"
 LAPLACE_STRATEGIES = (
     {"method": "NEWS", "h": 10, "s": 80},
     {"method": "NEWS", "h": 20, "s": 20},
@@ -36,6 +39,7 @@ LAPLACE_STRATEGIES = (
     {"method": "ABBMIN2", "tau": 0.9, "abb_window": 5},
 )
 LAPLACE_EPS, LAPLACE_CAP = 1e-6, 20000
+TABLE3_STRATEGIES, TABLE3_EPS = ({"method": "DY"},), 1e-6
 
 
 def trace_digest(trace) -> str:
@@ -66,7 +70,7 @@ def instance(label: str, desc: dict, seed, strategies, eps: float, cap: int) -> 
 
 
 def golden() -> dict:
-    plan = json.loads(TABLE1.read_text())
+    plan = json.loads((PLANS / "table1.json").read_text())
     eps, cap = min(plan["tolerances"]), plan["iter_cap"]
     record = {}
     for desc in plan["problems"]:
@@ -75,6 +79,11 @@ def golden() -> dict:
     for variant in ("A", "B"):
         desc = {"kind": "laplace3d", "variant": variant, "N": 33}
         record.update(instance(f"LAPLACE-{variant}/N33", desc, None, LAPLACE_STRATEGIES, LAPLACE_EPS, LAPLACE_CAP))
+    plan = json.loads((PLANS / "table3.json").read_text())
+    for desc in plan["problems"]:
+        seed = desc["seeds"][0]
+        label = f"{desc['family']}/kappa={desc['kappa']:g}/{desc['mode']}/{seed}"
+        record.update(instance(label, desc, seed, TABLE3_STRATEGIES, TABLE3_EPS, plan["iter_cap"]))
     return record
 
 

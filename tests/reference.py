@@ -11,8 +11,7 @@ rule table, blocks and spans.
 import numpy as np
 
 from specgrad.bench import ProfileData
-from specgrad.problem import BoxBounds, QuadraticProblem
-from specgrad.qp_engine import DOT_CHUNK
+from specgrad.problem import DOT_CHUNK, BoxBounds, QuadraticProblem
 from specgrad.stepsize import StepsizeUndefinedError
 
 

@@ -1,11 +1,13 @@
 """The public API is what the package runs: every name a module lists in
 ``__all__`` is read somewhere in ``src/specgrad`` outside its own
 definition. A formula that only the tests call belongs in
-``tests/reference.py``."""
+``tests/reference.py``. Each decision has one owner in the source: a box
+variant its row of ``_VARIANTS``, and every inner product ``problem.dot``."""
 
 import ast
 import dataclasses
 import json
+from collections import Counter
 from pathlib import Path
 
 import specgrad
@@ -94,3 +96,68 @@ def test_every_strategy_field_is_set_by_a_plan_or_the_runner():
         if f.name not in plan_keys | passed
     ]
     assert idle == []
+
+
+# The package's one inner-product pair: only these definitions call a
+# BLAS dot, and they fix its summation order (ROADMAP items 14 and 19).
+DOT_OWNERS = {("problem", "dot"), ("problem", "row_dots")}
+# The matrix products outside that pair, as (module, enclosing
+# definition, source), each with its reason; none of them is an inner
+# product of two vectors.
+MATRIX_PRODUCTS = {
+    ("problem", "QuadraticProblem.apply", "np.matmul(self._h, v, out=out)"): "a dense Hessian times a vector",
+    ("problem", "QuadraticProblem.apply", "np.matmul(self._h, row, out=dst)"): "a dense Hessian times one row of a block",
+    ("problem", "QuadraticProblem.apply", "self._h @ row"): "scipy's sparse product with one row of a block",
+    # ROADMAP items 1c and 14: the dense rotated problem is built by BLAS
+    # gemv and gemm, whose order depends on the kernel
+    ("generators", "gen_rotated_problem", "w @ q"): "one reflector's row w'Q of the rotation being built",
+    ("generators", "gen_rotated_problem", "(q * v) @ q.T"): "the rotated Hessian Q diag(v) Q'",
+}
+_BLAS_ATTRS = {"dot", "inner", "vdot", "matmul", "norm"}  # a.dot(b), np.dot, np.linalg.norm, ...
+_BLAS_NAMES = {"inner", "vdot", "matmul"}  # the same, imported from numpy by name
+
+
+def _blas_products(source: str) -> list[tuple[str, str]]:
+    """(enclosing definition, source) of every ``@``, and of every use of
+    a ``dot``, ``inner``, ``vdot``, ``matmul`` or ``norm`` attribute or of
+    a bare ``inner``, ``vdot`` or ``matmul`` (the whole call where it is
+    called), in one module."""
+    found, called = [], set()
+
+    def blas(node) -> bool:
+        return (isinstance(node, ast.Attribute) and node.attr in _BLAS_ATTRS) or (
+            isinstance(node, ast.Name) and node.id in _BLAS_NAMES
+        )
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call) and blas(child.func):
+                called.add(id(child.func))
+                found.append((owner, ast.get_source_segment(source, child)))
+            elif (blas(child) and id(child) not in called) or (
+                isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult)
+            ):
+                found.append((owner, ast.get_source_segment(source, child)))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_inner_product_is_problem_dot():
+    """Every inner product and vector norm in ``src/specgrad`` is
+    ``problem.dot`` or ``problem.row_dots``, so that one function decides
+    how a'b is summed: no other code calls a BLAS dot, a ``matmul`` or
+    ``@``, except the matrix products named in ``MATRIX_PRODUCTS``."""
+    found = [
+        (path.stem, owner, segment)
+        for path in sorted(SRC.glob("*.py"))
+        for owner, segment in _blas_products(path.read_text())
+        if (path.stem, owner) not in DOT_OWNERS
+    ]
+    # the sites that are not allowed, and the allowed ones that are gone
+    got, allowed = Counter(found), Counter(list(MATRIX_PRODUCTS))
+    assert (sorted(got - allowed), sorted(allowed - got)) == ([], [])

@@ -3,7 +3,7 @@
 Each record script runs in a child process whose OpenBLAS takes the
 kernels it would pick on an older CPU, with one BLAS thread. Measured on
 an AVX-512 host, whose own kernel keeps both records: under either
-kernel all 208 entries of ``qp_golden.json`` and 44 of the 48 of
+kernel all 223 entries of ``qp_golden.json`` and 44 of the 48 of
 ``box_golden.json`` differ, because a ddot kernel of another SIMD width
 sums each dot in another order. The tests are strict expected failures:
 a dot whose order does not depend on the kernel turns them into passes,

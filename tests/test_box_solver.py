@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,16 @@ class TestSolveBox:
         tr = solve_box(p.as_oracle(), bounds, np.array([50.0, -50.0]), BoxRunConfig())
         np.testing.assert_allclose(tr.x_final, [1.0, 1.0], atol=1e-8)
         assert contains(bounds, tr.x_final)
+
+    @pytest.mark.parametrize("x1", [[0.5], [0.5] * 4, [[0.5] * 3], 0.5], ids=["short", "long", "2-D", "scalar"])
+    def test_start_of_another_shape_is_refused(self, x1):
+        # a start that numpy would broadcast onto the box, or fail to
+        p = QuadraticProblem(np.ones(3), np.array([2.0, 2.0, 2.0]))
+        oracle = p.as_oracle()
+        shape = np.shape(x1)
+        with pytest.raises(ValueError, match=rf"x1 has shape {re.escape(str(shape))}, expected \(3,\)"):
+            solve_box(oracle, BoxBounds(np.zeros(3), np.ones(3)), np.array(x1), BoxRunConfig())
+        assert (oracle.eval_count, oracle.grad_count) == (0, 0)
 
     def test_accepted_steps_satisfy_their_rule(self):
         p = gen_diag_problem(SpectrumSpec("SET3", 50, 1e3, 9))

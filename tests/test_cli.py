@@ -250,8 +250,10 @@ def test_solve_counts_match_the_plan_row(tmp_path, capsys, mode):
     assert main(["solve", "--problem", str(problem), "--strategy", "NEWS", "--h", "4", "--s", "6",
                  "--eps", "1e-8", "--out", str(tmp_path / "t.csv")]) == 0
     solved = json.loads(capsys.readouterr().out)
+    entry = dict(desc)
+    entry["seeds"] = [entry.pop("seed")]  # a plan entry takes 'seed' or 'seeds', not both
     plan = ExperimentPlan.from_json({
-        "problems": [dict(desc, seeds=[desc["seed"]])],
+        "problems": [entry],
         "strategies": [{"method": "NEWS", "h": 4, "s": 6}],
         "tolerances": [1e-8],
     })

@@ -9,6 +9,7 @@ import pytest
 
 from specgrad import bench
 from specgrad.bench import ExperimentPlan
+from specgrad.cli import main
 
 PLAN_DIR = os.path.join(os.path.dirname(__file__), "..", "plans")
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +25,24 @@ def load(name):
 )
 def test_plan_validates(name):
     load(name)
+
+
+def test_family_entry_with_seed_and_seeds_is_refused(tmp_path, capsys):
+    # a job's seeds come from 'seeds' or 'seed', so an entry setting both
+    # would silently drop one
+    desc = {
+        "problems": [{"family": "SET1", "n": 20, "kappa": 100, "seed": 3, "seeds": [1, 2]}],
+        "strategies": [{"method": "SD"}],
+        "tolerances": [1e-6],
+    }
+    with pytest.raises(ValueError, match="both 'seed' and 'seeds'"):
+        ExperimentPlan.from_json(desc)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(desc))
+    assert main(["bench", "--plan", str(plan), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'seed'" in err and "'seeds'" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_table1_grid_shape():

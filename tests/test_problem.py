@@ -1,6 +1,8 @@
 import ast
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +206,34 @@ class TestGradient:
             lhs = p.objective(x - a * g)
             rhs = p.objective(x) - a * (g @ g) + 0.5 * a * a * (g @ p.apply(g))
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+# One seeded n = 200,000 diagonal problem: its objective at the start and
+# the spectral quotient of its first two gradients, as exact hex floats.
+THREADED_DOTS = """
+import numpy as np
+from specgrad.generators import SpectrumSpec, gen_diag_problem
+from specgrad.stepsize import bar_alpha_direct
+p = gen_diag_problem(SpectrumSpec("SET1", 200000, 1e4, 1))
+x = np.ones(p.dim)
+g1 = p.gradient(x)
+g2 = p.gradient(x - 1e-3 * g1)
+print(p.objective(x).hex(), bar_alpha_direct(g1, g2, p).hex())
+"""
+
+
+def test_long_dots_do_not_depend_on_the_blas_thread_count():
+    # the objective and the quotient sum their dots through problem.dot,
+    # chunk by chunk, so 1 and 2 BLAS threads give the same bits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", THREADED_DOTS], env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, (threads, out.stderr)
+        outs.append(out.stdout)
+    assert outs[0] == outs[1] and outs[0].count("0x") == 2
 
 
 class TestProjectBox:

@@ -19,16 +19,13 @@ from specgrad.generators import (
     gen_laplace3d,
     gen_rotated_problem,
 )
-from specgrad.problem import QuadraticProblem
+from specgrad.problem import DOT_CHUNK, QuadraticProblem, dot, row_dots
 from specgrad.qp_engine import (
     BLOCK_ELEMENTS,
-    DOT_CHUNK,
     METHODS,
     STEP_CHUNK,
     RunTrace,
     StrategySpec,
-    _dot,
-    _row_dots,
     run,
     run_many,
     stepsize_history_diagnostic,
@@ -483,7 +480,7 @@ class TestAlignedBuffers:
         n = 1000
         p = gen_diag_problem(SpectrumSpec("TP1", n, 1e4, 1))
         dotted, outs, heights = set(), [], []
-        row_dots, apply = qp_engine._row_dots, QuadraticProblem.apply
+        apply = QuadraticProblem.apply
 
         def recording_dots(a, b, totals=None):
             dotted.update((a.ctypes.data, b.ctypes.data))
@@ -496,7 +493,7 @@ class TestAlignedBuffers:
                 outs.append(w)
             return w
 
-        monkeypatch.setattr(qp_engine, "_row_dots", recording_dots)
+        monkeypatch.setattr(qp_engine, "row_dots", recording_dots)
         monkeypatch.setattr(QuadraticProblem, "apply", recording_apply)
         specs = [StrategySpec(m, h=h, s=s) for m in ("NEWS0", "NEWS") for h in (10, 20) for s in (20, 30, 50, 80, 100)]
         run_many(p, np.ones(n), specs, eps=1e-6, max_iter=200)
@@ -598,39 +595,40 @@ def run_in_subprocess(script, threads):
 def test_dot_is_the_vector_dot_up_to_a_chunk(n):
     rng = np.random.default_rng(n)
     a, b = rng.standard_normal((2, 5, n))
-    assert _dot(a[0], b[0]) == float(a[0].dot(b[0]))
-    assert _row_dots(a[0], b[0]) == [float(a[0].dot(b[0]))]
-    assert _row_dots(a, b) == [float(u @ v) for u, v in zip(a, b)]
+    assert dot(a[0], b[0]) == float(a[0].dot(b[0]))
+    assert row_dots(a[0], b[0]) == [float(a[0].dot(b[0]))]
+    assert row_dots(a, b) == [float(u @ v) for u, v in zip(a, b)]
 
 
 @pytest.mark.parametrize("n", [DOT_CHUNK + 1, 3 * DOT_CHUNK, 20000])
 def test_long_dots_sum_their_chunks_left_to_right(n):
     rng = np.random.default_rng(n)
     a, b = rng.standard_normal((2, 4, n))
-    for u, v, got in zip(a, b, _row_dots(a, b)):
+    for u, v, got in zip(a, b, row_dots(a, b)):
         parts = [float(u[i : i + DOT_CHUNK] @ v[i : i + DOT_CHUNK]) for i in range(0, n, DOT_CHUNK)]
         total = parts[0]
         for part in parts[1:]:
             total += part
-        assert _dot(u, v) == got == total
+        assert dot(u, v) == got == total
 
 
 def test_dots_are_thread_independent_at_laplace_size():
-    # _dot, a one-row _row_dots, a block's _row_dots and the running sum
+    # dot, a one-row row_dots, a block's row_dots and the running sum
     # over STEP_CHUNK spans agree bitwise, and their bits are the same
     # under 1 and 2 BLAS threads
     script = (
         "import numpy as np\n"
-        "from specgrad.qp_engine import STEP_CHUNK, _dot, _row_dots\n"
+        "from specgrad.problem import dot, row_dots\n"
+        "from specgrad.qp_engine import STEP_CHUNK\n"
         "rng = np.random.default_rng(3)\n"
         "a = rng.standard_normal((3, 216000)); b = rng.standard_normal((3, 216000)) * rng.random(216000)\n"
-        "vec = [_dot(u, v) for u, v in zip(a, b)]\n"
-        "assert _row_dots(a, b) == vec and [_row_dots(u, v)[0] for u, v in zip(a, b)] == vec\n"
+        "vec = [dot(u, v) for u, v in zip(a, b)]\n"
+        "assert row_dots(a, b) == vec and [row_dots(u, v)[0] for u, v in zip(a, b)] == vec\n"
         "spanned = []\n"
         "for u, v in zip(a, b):\n"
         "    total = None\n"
         "    for lo in range(0, 216000, STEP_CHUNK):\n"
-        "        total = _dot(u[lo : lo + STEP_CHUNK], v[lo : lo + STEP_CHUNK], total)\n"
+        "        total = dot(u[lo : lo + STEP_CHUNK], v[lo : lo + STEP_CHUNK], total)\n"
         "    spanned.append(total)\n"
         "assert spanned == vec\n"
         "print([x.hex() for x in vec])\n"

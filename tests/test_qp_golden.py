@@ -1,5 +1,6 @@
-"""Every quadratic trajectory of ``plans/table1.json`` and of the Laplace
-N = 33 cases keeps its golden record (see ``qp_golden.py``)."""
+"""Every quadratic trajectory of ``plans/table1.json``, of the Laplace
+N = 33 cases and of the first seed of each ``plans/table3.json``
+descriptor under DY keeps its golden record (see ``qp_golden.py``)."""
 
 import json
 from pathlib import Path
@@ -11,5 +12,5 @@ WANT = json.loads((Path(__file__).resolve().parent / "data" / "qp_golden.json").
 
 def test_quadratic_trajectories_match_the_golden_record():
     got = golden()
-    assert len(WANT) == 208 and set(got) == set(WANT)
+    assert len(WANT) == 223 and set(got) == set(WANT)
     assert [k for k in WANT if got[k] != WANT[k]] == []
